@@ -1,7 +1,7 @@
 #!/bin/sh
 # Pre-merge check: tier-1 (build + unit/property tests + golden
-# snapshots) then tier-2 (fixed-seed differential fuzz smoke).
-# See TESTING.md.
+# snapshots) then the four tier-2 gates: fixed-seed differential fuzz
+# smoke, perf smoke, chaos smoke and obs smoke.  See TESTING.md.
 set -eu
 
 echo "== tier 1: dune build && dune runtest"

@@ -125,13 +125,6 @@ module Metrics = struct
   let counters () = sorted_list counters_tbl value
   let gauges () = sorted_list gauges_tbl gauge_value
   let histograms () = sorted_list histograms_tbl stats
-  let find_histogram name =
-    match
-      Mutex.protect registry_mutex (fun () ->
-          Hashtbl.find_opt histograms_tbl name)
-    with
-    | Some h -> Some (stats h)
-    | None -> None
 
   let reset () =
     let cs, gs, hs =
@@ -238,23 +231,186 @@ let reset_events () =
   let bufs = Mutex.protect buffers_mutex (fun () -> !buffers) in
   List.iter (fun b -> b := []) bufs
 
-(* ---- Chrome trace_event export ---- *)
+(* ---- JSON ----
 
-let json_escape s =
-  let buf = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+   The one JSON codec of the repository: the string escaping the trace
+   writer uses, and a reader for the documents that writer (and the
+   other tools here) emit. *)
+
+module Json = struct
+  type t =
+    | Null
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  exception Bad of string
+
+  let escape s =
+    let buf = Buffer.create (String.length s) in
+    String.iter
+      (fun c ->
+        match c with
+        | '"' -> Buffer.add_string buf "\\\""
+        | '\\' -> Buffer.add_string buf "\\\\"
+        | '\n' -> Buffer.add_string buf "\\n"
+        | '\t' -> Buffer.add_string buf "\\t"
+        | '\r' -> Buffer.add_string buf "\\r"
+        | c when Char.code c < 0x20 ->
+          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
+        | c -> Buffer.add_char buf c)
+      s;
+    Buffer.contents buf
+
+  let parse (s : string) : t =
+    let n = String.length s in
+    let pos = ref 0 in
+    let fail msg = raise (Bad (Printf.sprintf "%s at byte %d" msg !pos)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let rec skip_ws () =
+      match peek () with
+      | Some (' ' | '\t' | '\n' | '\r') ->
+        advance ();
+        skip_ws ()
+      | _ -> ()
+    in
+    let expect c =
+      if !pos < n && s.[!pos] = c then advance ()
+      else fail (Printf.sprintf "expected %c" c)
+    in
+    (* the four hex digits of a \uXXXX escape, as a code point; UTF-16
+       surrogate halves are not scalar values and are rejected *)
+    let hex4 () =
+      let digit () =
+        match peek () with
+        | Some ('0' .. '9' as c) -> Char.code c - Char.code '0'
+        | Some ('a' .. 'f' as c) -> Char.code c - Char.code 'a' + 10
+        | Some ('A' .. 'F' as c) -> Char.code c - Char.code 'A' + 10
+        | _ -> fail "bad \\u escape"
+      in
+      let c = ref 0 in
+      for _ = 1 to 4 do
+        c := (!c lsl 4) lor digit ();
+        advance ()
+      done;
+      if Uchar.is_valid !c then Uchar.of_int !c
+      else fail "surrogate \\u escape"
+    in
+    let string_lit () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec go () =
+        if !pos >= n then fail "unterminated string";
+        match s.[!pos] with
+        | '"' -> advance ()
+        | '\\' ->
+          advance ();
+          if !pos >= n then fail "unterminated escape";
+          let c = s.[!pos] in
+          advance ();
+          (match c with
+          | '"' | '\\' | '/' -> Buffer.add_char buf c
+          | 'n' -> Buffer.add_char buf '\n'
+          | 't' -> Buffer.add_char buf '\t'
+          | 'r' -> Buffer.add_char buf '\r'
+          | 'b' -> Buffer.add_char buf '\b'
+          | 'f' -> Buffer.add_char buf '\012'
+          | 'u' -> Buffer.add_utf_8_uchar buf (hex4 ())
+          | c -> fail (Printf.sprintf "bad escape \\%c" c));
+          go ()
+        | c ->
+          Buffer.add_char buf c;
+          advance ();
+          go ()
+      in
+      go ();
+      Buffer.contents buf
+    in
+    let number () =
+      let start = !pos in
+      let is_num_char = function
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      in
+      while !pos < n && is_num_char s.[!pos] do
+        advance ()
+      done;
+      match float_of_string_opt (String.sub s start (!pos - start)) with
+      | Some f -> Num f
+      | None -> fail "bad number"
+    in
+    let rec value () =
+      skip_ws ();
+      match peek () with
+      | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin
+          advance ();
+          Obj []
+        end
+        else begin
+          let rec fields acc =
+            skip_ws ();
+            let k = string_lit () in
+            skip_ws ();
+            expect ':';
+            let v = value () in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+              advance ();
+              fields ((k, v) :: acc)
+            | Some '}' ->
+              advance ();
+              Obj (List.rev ((k, v) :: acc))
+            | _ -> fail "expected , or }"
+          in
+          fields []
+        end
+      | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin
+          advance ();
+          Arr []
+        end
+        else begin
+          let rec items acc =
+            let v = value () in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+              advance ();
+              items (v :: acc)
+            | Some ']' ->
+              advance ();
+              Arr (List.rev (v :: acc))
+            | _ -> fail "expected , or ]"
+          in
+          items []
+        end
+      | Some '"' -> Str (string_lit ())
+      | Some 'n' ->
+        if !pos + 4 <= n && String.sub s !pos 4 = "null" then begin
+          pos := !pos + 4;
+          Null
+        end
+        else fail "expected null"
+      | Some _ -> number ()
+      | None -> fail "unexpected end of input"
+    in
+    let v = value () in
+    skip_ws ();
+    if !pos <> n then fail "trailing garbage";
+    v
+
+  let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
+end
+
+(* ---- Chrome trace_event export ---- *)
 
 let trace_json () =
   let evs = events () in
@@ -268,12 +424,12 @@ let trace_json () =
         (Printf.sprintf
            "\n{\"name\":\"%s\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\
             \"pid\":%d,\"tid\":%d,\"args\":{"
-           (json_escape ev.name) ev.ts_us ev.dur_us pid ev.tid);
+           (Json.escape ev.name) ev.ts_us ev.dur_us pid ev.tid);
       List.iteri
         (fun j (k, v) ->
           if j > 0 then Buffer.add_string buf ",";
           Buffer.add_string buf
-            (Printf.sprintf "\"%s\":\"%s\"" (json_escape k) (json_escape v)))
+            (Printf.sprintf "\"%s\":\"%s\"" (Json.escape k) (Json.escape v)))
         ev.attrs;
       Buffer.add_string buf "}}")
     evs;

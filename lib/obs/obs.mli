@@ -20,8 +20,8 @@
     and log-scale histograms ({!Metrics}).  Metrics are always on
     (atomic increments; they replace the ad-hoc robustness counters),
     independent of the span flag — except that every recorded span
-    also feeds the histogram [span.<name>], which is how the bench
-    JSON gets per-stage duration percentiles.
+    also feeds the histogram [span.<name>], which is how
+    [bpredict stats] reports per-stage duration percentiles.
 
     Timestamps come from [Unix.gettimeofday] — monotonic-ish: good
     enough to order and measure spans, not hardened against clock
@@ -63,6 +63,38 @@ val reset_events : unit -> unit
 
 val trace_json : unit -> string
 (** The recorded events as a Chrome [trace_event] JSON document. *)
+
+(** The JSON string format, owned in one place: the escaping
+    {!trace_json} writes and a reader that decodes every escape it
+    emits. *)
+module Json : sig
+  type t =
+    | Null
+    | Num of float
+    | Str of string
+    | Arr of t list
+    | Obj of (string * t) list
+
+  exception Bad of string
+  (** Malformed input, with the byte offset where parsing stopped. *)
+
+  val escape : string -> string
+  (** The body of a JSON string literal for these bytes: double quote,
+      backslash, newline, tab and carriage return escaped by name, other
+      bytes below 0x20 as [\u00XX], everything else verbatim. *)
+
+  val parse : string -> t
+  (** Parse one JSON document (surrounding whitespace allowed).
+      Decodes every escape JSON defines: the quote, backslash, slash,
+      [b], [f], [n], [r] and [t] escapes and [\uXXXX] (to UTF-8; UTF-16
+      surrogate halves are rejected).
+      Booleans are not part of {!t} and are rejected, as is any other
+      malformed literal.  Raises {!Bad}. *)
+
+  val member : string -> t -> t option
+  (** [member k v] is field [k] of object [v], [None] if [v] is not an
+      object or has no such field. *)
+end
 
 val write_trace : string -> unit
 (** Write {!trace_json} to a file. *)
@@ -118,9 +150,6 @@ module Metrics : sig
 
   val gauges : unit -> (string * float) list
   val histograms : unit -> (string * hstats) list
-
-  val find_histogram : string -> hstats option
-  (** Stats of the named histogram, [None] if never registered. *)
 
   val reset : unit -> unit
   (** Zero every registered counter, gauge and histogram. *)

@@ -112,11 +112,6 @@ val reduce : t -> ?batch:int -> n:int -> chunk:int ->
     [Domain.recommended_domain_count ()], because oversubscribing
     domains makes every stage slower. *)
 
-val requested_jobs : unit -> int option
-(** The explicit width override currently in force ([set_jobs] or
-    [BALLARUS_JOBS]), or [None] when the width defaults to the
-    hardware clamp. *)
-
 val effective_jobs : unit -> int
 (** The width the default pool would have right now: the explicit
     request if any, else [Domain.recommended_domain_count ()]. *)

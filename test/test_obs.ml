@@ -66,7 +66,7 @@ let test_span_feeds_histogram () =
   with_recording (fun () ->
       Obs.Metrics.reset ();
       Obs.span ~name:"timed-stage" (fun () -> Unix.sleepf 0.002);
-      match Obs.Metrics.find_histogram "span.timed-stage" with
+      match List.assoc_opt "span.timed-stage" (Obs.Metrics.histograms ()) with
       | Some s ->
         checki "one observation" 1 s.Obs.Metrics.count;
         checkb "max in a plausible band" true
@@ -151,147 +151,15 @@ let test_dump_renders () =
     (contains (Buffer.contents buf) "test.dump.c");
   Obs.Metrics.set c 0
 
-(* ---- trace JSON export ----
+(* ---- trace JSON export, read back with Obs.Json ---- *)
 
-   A minimal JSON parser (objects/arrays/strings/numbers), just enough
-   to prove the exported document is well-formed and carries the
-   expected fields. *)
-
-type json =
-  | Null
-  | Num of float
-  | Str of string
-  | Arr of json list
-  | Obj of (string * json) list
-
-exception Bad_json of string
-
-let parse_json (s : string) : json =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = raise (Bad_json (Printf.sprintf "%s at byte %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
-  let rec skip_ws () =
-    match peek () with
-    | Some (' ' | '\t' | '\n' | '\r') ->
-      advance ();
-      skip_ws ()
-    | _ -> ()
-  in
-  let expect c =
-    if !pos < n && s.[!pos] = c then advance ()
-    else fail (Printf.sprintf "expected %c" c)
-  in
-  let string_lit () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> advance ()
-      | '\\' ->
-        advance ();
-        if !pos >= n then fail "unterminated escape";
-        (match s.[!pos] with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | c -> Buffer.add_char buf c);
-        advance ();
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        advance ();
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let number () =
-    let start = !pos in
-    let is_num_char = function
-      | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-      | _ -> false
-    in
-    while !pos < n && is_num_char s.[!pos] do
-      advance ()
-    done;
-    match float_of_string_opt (String.sub s start (!pos - start)) with
-    | Some f -> Num f
-    | None -> fail "bad number"
-  in
-  let rec value () =
-    skip_ws ();
-    match peek () with
-    | Some '{' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
-        Obj []
-      end
-      else begin
-        let rec fields acc =
-          skip_ws ();
-          let k = string_lit () in
-          skip_ws ();
-          expect ':';
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            fields ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
-            Obj (List.rev ((k, v) :: acc))
-          | _ -> fail "expected , or }"
-        in
-        fields []
-      end
-    | Some '[' ->
-      advance ();
-      skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
-        Arr []
-      end
-      else begin
-        let rec items acc =
-          let v = value () in
-          skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
-            items (v :: acc)
-          | Some ']' ->
-            advance ();
-            Arr (List.rev (v :: acc))
-          | _ -> fail "expected , or ]"
-        in
-        items []
-      end
-    | Some '"' -> Str (string_lit ())
-    | Some 'n' ->
-      pos := !pos + 4;
-      Null
-    | Some _ -> number ()
-    | None -> fail "unexpected end of input"
-  in
-  let v = value () in
-  skip_ws ();
-  if !pos <> n then fail "trailing garbage";
-  v
-
-let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
+open Obs.Json
 
 let test_trace_json_valid () =
   with_recording (fun () ->
       Obs.span ~name:"alpha" ~attrs:[ ("id", "a\"b") ] (fun () -> ());
       Obs.span ~name:"beta" (fun () -> ());
-      let doc = parse_json (Obs.trace_json ()) in
+      let doc = parse (Obs.trace_json ()) in
       match member "traceEvents" doc with
       | Some (Arr evs) ->
         checki "two events" 2 (List.length evs);
@@ -338,9 +206,38 @@ let test_write_trace_roundtrip () =
           let ic = open_in_bin path in
           let s = really_input_string ic (in_channel_length ic) in
           close_in ic;
-          match member "traceEvents" (parse_json s) with
+          match member "traceEvents" (parse s) with
           | Some (Arr (_ :: _)) -> ()
           | _ -> Alcotest.fail "written trace unreadable"))
+
+(* Every escape JSON defines decodes, and a malformed literal is
+   rejected rather than read as [null]. *)
+let test_json_reader () =
+  checkb "escapes" true
+    (parse {|["\"\\\/\b\f\n\r\t\u0001\u00e9"]|}
+    = Arr [ Str "\"\\/\b\012\n\r\t\001\xc3\xa9" ]);
+  checkb "null" true (parse " null " = Null);
+  List.iter
+    (fun bad ->
+      match parse bad with
+      | _ -> Alcotest.failf "accepted %S" bad
+      | exception Bad _ -> ())
+    [ "nulx"; "nul"; "true"; {|"\x"|}; {|"\u12g4"|}; {|"\ud800"|}; "[1,]" ]
+
+(* Span names and attribute values are arbitrary strings: whatever
+   ASCII bytes go in, [trace_json] and [Obs.Json.parse] must give the
+   same strings back. *)
+let prop_trace_roundtrip =
+  let ascii = QCheck.(string_gen (Gen.map Char.chr (Gen.int_bound 127))) in
+  QCheck.Test.make ~name:"trace_json round-trips ASCII names and attrs"
+    ~count:300 (QCheck.pair ascii ascii) (fun (name, v) ->
+      with_recording (fun () ->
+          Obs.span ~name ~attrs:[ ("k", v) ] (fun () -> ());
+          match member "traceEvents" (parse (Obs.trace_json ())) with
+          | Some (Arr [ e ]) ->
+            member "name" e = Some (Str name)
+            && Option.bind (member "args" e) (member "k") = Some (Str v)
+          | _ -> false))
 
 let () =
   Alcotest.run "obs"
@@ -369,5 +266,8 @@ let () =
           Alcotest.test_case "trace JSON valid" `Quick test_trace_json_valid;
           Alcotest.test_case "write_trace roundtrip" `Quick
             test_write_trace_roundtrip;
+          Alcotest.test_case "JSON reader escapes and literals" `Quick
+            test_json_reader;
+          QCheck_alcotest.to_alcotest prop_trace_roundtrip;
         ] );
     ]
