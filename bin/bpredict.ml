@@ -263,31 +263,21 @@ let layout_cmd =
           Predict.Database.make prog analyses ~taken:profile.taken
             ~fall:profile.fall
         in
-        let order = Predict.Combined.paper_order in
-        let predictions = Hashtbl.create 512 in
-        Array.iter
-          (fun (br : Predict.Database.branch) ->
-            Hashtbl.replace predictions (br.proc, br.block)
-              (Predict.Combined.predict order br))
-          db.branches;
         let laid =
-          Predict.Layout.apply prog ~predict:(fun ~proc ~block ->
-              match Hashtbl.find_opt predictions (proc, block) with
-              | Some dir -> dir
-              | None -> false)
+          Predict.Layout.guided db
+            ~predictor:(Predict.Combined.predict Predict.Combined.paper_order)
         in
-        let t0, e0, s0 = Predict.Layout.taken_transfers prog ds in
-        let t1, e1, s1 = Predict.Layout.taken_transfers laid ds in
-        if s0.checksum <> s1.checksum then
-          failwith "layout changed program behaviour";
-        ignore e1;
+        let ((t1, _, s1) as after) = Predict.Layout.taken_transfers laid ds in
+        Predict.Layout.check_run ~name:src profile after;
         Format.printf
           "laid out %d procedures along predicted traces@."
           (Array.length prog.procs);
         Format.printf "taken conditional branches: %d -> %d (of %d executed)@."
-          t0 t1 e0;
+          (Sim.Profile.taken_execs profile)
+          t1
+          (Sim.Profile.branch_execs profile);
         Format.printf "instructions executed: %d -> %d (checksum unchanged)@."
-          s0.instr_count s1.instr_count)
+          profile.stats.instr_count s1.instr_count)
   in
   Cmd.v
     (Cmd.info "layout"

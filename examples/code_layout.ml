@@ -3,30 +3,26 @@
    on the compiler to arrange code so the common path falls through.
    This example lays out every workload along Ball-Larus-predicted
    traces and measures how many conditional branches are taken before
-   and after (semantics — checksums — must be unchanged).
+   and after (semantics — checksums — and the number of conditional
+   branches executed must be unchanged).
 
    Run with:  dune exec examples/code_layout.exe [workload] *)
 
 let run_one (wl : Workloads.Workload.t) =
   let r = Experiments.Bench_run.load wl in
-  let order = Predict.Combined.paper_order in
-  let predictions = Hashtbl.create 512 in
-  Array.iter
-    (fun (br : Predict.Database.branch) ->
-      Hashtbl.replace predictions (br.proc, br.block)
-        (Predict.Combined.predict order br))
-    r.db.branches;
-  let predict ~proc ~block =
-    match Hashtbl.find_opt predictions (proc, block) with
-    | Some dir -> dir
-    | None -> false
+  let laid_out =
+    Predict.Layout.guided r.db
+      ~predictor:(Predict.Combined.predict Predict.Combined.paper_order)
   in
-  let laid_out = Predict.Layout.apply r.prog ~predict in
-  let ds = Workloads.Workload.primary_dataset wl in
-  let taken0, execs0, stats0 = Predict.Layout.taken_transfers r.prog ds in
-  let taken1, execs1, stats1 = Predict.Layout.taken_transfers laid_out ds in
-  if stats0.checksum <> stats1.checksum then
-    failwith (wl.name ^ ": layout changed program behaviour!");
+  (* "before" is the edge profile [load] already ran on the primary
+     dataset; only the laid-out program is simulated *)
+  let taken0 = Sim.Profile.taken_execs r.profile
+  and execs0 = Sim.Profile.branch_execs r.profile in
+  let ((taken1, execs1, _) as after) =
+    Predict.Layout.taken_transfers laid_out
+      (Workloads.Workload.primary_dataset wl)
+  in
+  Predict.Layout.check_run ~name:wl.name r.profile after;
   let pct t e = 100. *. float_of_int t /. float_of_int (max 1 e) in
   Printf.printf "%-10s taken %5.1f%% -> %5.1f%%   (branches %d, checksum ok)\n"
     wl.name (pct taken0 execs0) (pct taken1 execs1) execs0;

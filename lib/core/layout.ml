@@ -106,6 +106,15 @@ let apply (prog : Mips.Program.t) ~predict =
         prog.procs;
   }
 
+let guided (db : Database.t) ~predictor =
+  let predictions = Hashtbl.create 512 in
+  Array.iter
+    (fun (br : Database.branch) ->
+      Hashtbl.replace predictions (br.proc, br.block) (predictor br))
+    db.branches;
+  apply db.program ~predict:(fun ~proc ~block ->
+      Option.value ~default:false (Hashtbl.find_opt predictions (proc, block)))
+
 let taken_transfers ?max_instrs prog dataset =
   let taken_count = ref 0 in
   let exec_count = ref 0 in
@@ -115,3 +124,14 @@ let taken_transfers ?max_instrs prog dataset =
   in
   let stats = Sim.Machine.run ?max_instrs ~on_branch prog dataset in
   (!taken_count, !exec_count, stats)
+
+let check_run ~name (profile : Sim.Profile.t)
+    (_, execs, (stats : Sim.Machine.stats)) =
+  if stats.checksum <> profile.stats.checksum then
+    failwith (name ^ ": layout changed program behaviour");
+  let expected = Sim.Profile.branch_execs profile in
+  if execs <> expected then
+    failwith
+      (Printf.sprintf
+         "%s: layout changed the conditional branch count (%d -> %d)" name
+         expected execs)

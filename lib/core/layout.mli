@@ -31,10 +31,32 @@ val apply :
   Mips.Program.t
 (** Lay out every procedure of a program. *)
 
+val guided :
+  Database.t -> predictor:(Database.branch -> bool) -> Mips.Program.t
+(** [guided db ~predictor] lays out [db.program] by {!apply}, each
+    conditional branch going the way [predictor] predicts its database
+    entry (for instance [Combined.predict Combined.paper_order]). *)
+
 val taken_transfers :
   ?max_instrs:int -> Mips.Program.t -> Sim.Dataset.t ->
   int * int * Sim.Machine.stats
 (** Run the program and count [(taken conditional branches,
     conditional branch executions, stats)].  Combined with {!apply}
     this quantifies how much layout helps a fall-through-predicting
-    front end. *)
+    front end.
+
+    Only a laid-out program needs this run.  For the original program
+    on a profiled dataset the edge profile already holds the same
+    numbers: the taken count is {!Sim.Profile.taken_execs}, the
+    execution count {!Sim.Profile.branch_execs}, and the stats are the
+    profile's [stats].  Layout only inverts branches and adds
+    unconditional jumps, so a laid-out run executes exactly as many
+    conditional branches as the original, with the same checksum. *)
+
+val check_run :
+  name:string -> Sim.Profile.t -> int * int * Sim.Machine.stats -> unit
+(** [check_run ~name profile result] checks a laid-out program's
+    {!taken_transfers} [result] against the original program's edge
+    profile on the same dataset: the checksum and the number of
+    conditional branch executions must both be equal.  Raises
+    [Failure], naming [name], on a mismatch. *)

@@ -206,22 +206,19 @@ let layout ppf =
   let rows =
     List.map
       (fun (r : Bench_run.t) ->
-        let predictions = Hashtbl.create 512 in
-        Array.iter
-          (fun (br : D.branch) ->
-            Hashtbl.replace predictions (br.proc, br.block)
-              (Predict.Combined.predict order br))
-          r.db.branches;
         let laid =
-          Predict.Layout.apply r.prog ~predict:(fun ~proc ~block ->
-              match Hashtbl.find_opt predictions (proc, block) with
-              | Some dir -> dir
-              | None -> false)
+          Predict.Layout.guided r.db
+            ~predictor:(Predict.Combined.predict order)
         in
-        let ds = Workloads.Workload.primary_dataset r.wl in
-        let t0, e0, s0 = Predict.Layout.taken_transfers r.prog ds in
-        let t1, e1, s1 = Predict.Layout.taken_transfers laid ds in
-        assert (s0.checksum = s1.checksum);
+        (* "before" is the primary edge profile: the same program on the
+           same dataset, so only the laid-out program is simulated *)
+        let t0 = Sim.Profile.taken_execs r.profile
+        and e0 = Sim.Profile.branch_execs r.profile in
+        let ((t1, e1, _) as after) =
+          Predict.Layout.taken_transfers laid
+            (Workloads.Workload.primary_dataset r.wl)
+        in
+        Predict.Layout.check_run ~name:r.wl.name r.profile after;
         let rate t e = float_of_int t /. float_of_int (max 1 e) in
         (r.wl.name, rate t0 e0, rate t1 e1))
       (Bench_run.load_all ())

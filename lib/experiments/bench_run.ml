@@ -67,19 +67,23 @@ let db_cache : (string * string, Predict.Database.t) Hashtbl.t =
 let db_cache_mutex = Mutex.create ()
 
 let db_for t ds =
-  let key = (t.wl.name, ds.Sim.Dataset.name) in
-  match
-    Mutex.protect db_cache_mutex (fun () -> Hashtbl.find_opt db_cache key)
-  with
-  | Some db -> db
-  | None ->
-    let profile = profile_for ~decoded:t.decoded t.prog ds in
-    let db =
-      Predict.Database.make t.prog t.analyses ~taken:profile.taken
-        ~fall:profile.fall
-    in
-    Mutex.protect db_cache_mutex (fun () -> Hashtbl.replace db_cache key db);
-    db
+  (* the primary dataset's database is the one [load] built *)
+  if ds.Sim.Dataset.name = (Workloads.Workload.primary_dataset t.wl).name then
+    t.db
+  else
+    let key = (t.wl.name, ds.name) in
+    match
+      Mutex.protect db_cache_mutex (fun () -> Hashtbl.find_opt db_cache key)
+    with
+    | Some db -> db
+    | None ->
+      let profile = profile_for ~decoded:t.decoded t.prog ds in
+      let db =
+        Predict.Database.make t.prog t.analyses ~taken:profile.taken
+          ~fall:profile.fall
+      in
+      Mutex.protect db_cache_mutex (fun () -> Hashtbl.replace db_cache key db);
+      db
 
 let reset () =
   Mutex.protect cache_mutex (fun () -> Hashtbl.reset cache);

@@ -35,8 +35,10 @@ val reset : unit -> unit
     the benchmark harness can time cold pipelines. *)
 
 val db_for : t -> Sim.Dataset.t -> Predict.Database.t
-(** Branch database for a non-primary dataset (profiles it afresh;
-    memoised per (workload, dataset) pair). *)
+(** Branch database for any of the workload's datasets.  For the
+    primary dataset (matched by name) this is [t.db] itself, with no
+    further simulation; any other dataset is profiled afresh and its
+    database memoised per (workload, dataset) pair. *)
 
 val prediction_bits :
   t -> (Predict.Database.branch -> bool) -> Sim.Trace_run.prediction_bits

@@ -45,8 +45,8 @@ let run_legacy ?max_instrs prog input =
   let stats = Machine.run_legacy ?max_instrs ~on_branch prog input in
   { taken; fall; stats }
 
-let branch_execs t =
-  let sum rows =
-    Array.fold_left (fun acc row -> Array.fold_left ( + ) acc row) 0 rows
-  in
-  sum t.taken + sum t.fall
+let sum rows =
+  Array.fold_left (fun acc row -> Array.fold_left ( + ) acc row) 0 rows
+
+let taken_execs t = sum t.taken
+let branch_execs t = sum t.taken + sum t.fall

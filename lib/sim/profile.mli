@@ -21,5 +21,8 @@ val run_decoded : ?max_instrs:int -> Decode.t -> Dataset.t -> t
 val run_legacy : ?max_instrs:int -> Mips.Program.t -> Dataset.t -> t
 (** Edge profile via {!Machine.run_legacy}, for differential tests. *)
 
+val taken_execs : t -> int
+(** Dynamic conditional-branch executions that went to the target. *)
+
 val branch_execs : t -> int
 (** Total dynamic conditional-branch executions. *)

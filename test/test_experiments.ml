@@ -148,6 +148,9 @@ let test_graph13_stability () =
   List.iter
     (fun name ->
       let r = load name in
+      checkb (name ^ " primary dataset reuses the loaded database") true
+        (Experiments.Bench_run.db_for r (Workloads.Workload.primary_dataset r.wl)
+        == r.db);
       let order = Predict.Combined.paper_order in
       let rates =
         List.map

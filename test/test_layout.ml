@@ -108,34 +108,12 @@ int main() {
           ~fall:profile.fall
       in
       let laid_checksum predictor =
-        let predictions = Hashtbl.create 64 in
-        Array.iter
-          (fun (br : Predict.Database.branch) ->
-            Hashtbl.replace predictions (br.proc, br.block) (predictor br))
-          db.branches;
-        let laid =
-          Predict.Layout.apply prog ~predict:(fun ~proc ~block ->
-              match Hashtbl.find_opt predictions (proc, block) with
-              | Some dir -> dir
-              | None -> false)
-        in
-        (Sim.Machine.run laid d).checksum
+        (Sim.Machine.run (Predict.Layout.guided db ~predictor) d).checksum
       in
       laid_checksum Predict.Combined.perfect_predict = base
       && laid_checksum (fun b -> not (Predict.Combined.perfect_predict b))
          = base
       && laid_checksum (fun _ -> true) = base)
-
-let layout_with predictor (r : Experiments.Bench_run.t) =
-  let predictions = Hashtbl.create 512 in
-  Array.iter
-    (fun (br : Predict.Database.branch) ->
-      Hashtbl.replace predictions (br.proc, br.block) (predictor br))
-    r.db.branches;
-  Predict.Layout.apply r.prog ~predict:(fun ~proc ~block ->
-      match Hashtbl.find_opt predictions (proc, block) with
-      | Some dir -> dir
-      | None -> false)
 
 let workloads_under_test = [ "xlisp"; "grep"; "tomcatv"; "gcc"; "compress" ]
 
@@ -147,7 +125,7 @@ let test_layout_preserves_semantics () =
       let base = Sim.Machine.run r.prog ds in
       List.iter
         (fun (label, predictor) ->
-          let laid = layout_with predictor r in
+          let laid = Predict.Layout.guided r.db ~predictor in
           let after = Sim.Machine.run laid ds in
           checki
             (Printf.sprintf "%s/%s checksum preserved" name label)
@@ -165,8 +143,18 @@ let test_layout_reduces_taken () =
     (fun name ->
       let r = Experiments.Bench_run.load (Workloads.Registry.find name) in
       let ds = Workloads.Workload.primary_dataset r.wl in
-      let taken0, execs0, _ = Predict.Layout.taken_transfers r.prog ds in
-      let laid = layout_with Predict.Combined.perfect_predict r in
+      let taken0, execs0, stats0 = Predict.Layout.taken_transfers r.prog ds in
+      (* the primary edge profile holds the same numbers, which is why
+         the layout ablation need not simulate the original program *)
+      checki (name ^ " taken = profile taken")
+        (Sim.Profile.taken_execs r.profile) taken0;
+      checki (name ^ " executions = profile executions")
+        (Sim.Profile.branch_execs r.profile) execs0;
+      checki (name ^ " checksum = profile checksum")
+        r.profile.stats.checksum stats0.checksum;
+      let laid =
+        Predict.Layout.guided r.db ~predictor:Predict.Combined.perfect_predict
+      in
       let taken1, execs1, _ = Predict.Layout.taken_transfers laid ds in
       checki (name ^ " same branch executions") execs0 execs1;
       checkb
@@ -184,16 +172,42 @@ let test_layout_perfect_at_most_miss_rate () =
     (fun name ->
       let r = Experiments.Bench_run.load (Workloads.Registry.find name) in
       let ds = Workloads.Workload.primary_dataset r.wl in
-      let laid = layout_with Predict.Combined.perfect_predict r in
+      let laid =
+        Predict.Layout.guided r.db ~predictor:Predict.Combined.perfect_predict
+      in
       let taken, execs, _ = Predict.Layout.taken_transfers laid ds in
       checkb (name ^ " post-layout taken under 60%") true
         (float_of_int taken /. float_of_int (max 1 execs) < 0.6))
     workloads_under_test
 
+let test_check_run () =
+  (* the laid-out run is accepted only when its checksum and its
+     conditional branch count both match the original's profile *)
+  let r = Experiments.Bench_run.load (Workloads.Registry.find "grep") in
+  let ds = Workloads.Workload.primary_dataset r.wl in
+  let taken, execs, stats =
+    Predict.Layout.taken_transfers
+      (Predict.Layout.guided r.db
+         ~predictor:(Predict.Combined.predict Predict.Combined.paper_order))
+      ds
+  in
+  Predict.Layout.check_run ~name:"grep" r.profile (taken, execs, stats);
+  let rejects label result =
+    checkb label true
+      (match Predict.Layout.check_run ~name:"grep" r.profile result with
+      | () -> false
+      | exception Failure _ -> true)
+  in
+  rejects "checksum mismatch"
+    (taken, execs, { stats with checksum = stats.checksum + 1 });
+  rejects "branch count mismatch" (taken, execs + 1, stats)
+
 let test_layout_idempotent_code_size () =
   (* laying out twice must not blow up the code *)
   let r = Experiments.Bench_run.load (Workloads.Registry.find "grep") in
-  let once = layout_with Predict.Combined.perfect_predict r in
+  let once =
+    Predict.Layout.guided r.db ~predictor:Predict.Combined.perfect_predict
+  in
   let size0 = Mips.Program.code_size r.prog in
   let size1 = Mips.Program.code_size once in
   checkb "code growth bounded" true (size1 < size0 + (size0 / 4) + 16)
@@ -324,6 +338,7 @@ let () =
           Alcotest.test_case "reduces taken" `Slow test_layout_reduces_taken;
           Alcotest.test_case "perfect bound" `Slow
             test_layout_perfect_at_most_miss_rate;
+          Alcotest.test_case "check run" `Quick test_check_run;
           Alcotest.test_case "code size" `Quick test_layout_idempotent_code_size;
         ] );
       ( "corner cases",
