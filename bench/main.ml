@@ -85,9 +85,7 @@ let quick_suite_twice ~name ~between =
   Cache.Store.set_enabled true;
   Cache.Store.clear ();
   let render () =
-    Experiments.Bench_run.reset ();
-    Experiments.Orderings.reset ();
-    Experiments.Traces.reset ();
+    Cache.Memo.reset_all ();
     let buf = Buffer.create (1 lsl 16) in
     let bppf = Format.formatter_of_buffer buf in
     let s = Experiments.Driver.run_all ~quick:true bppf in

@@ -20,13 +20,10 @@ type t = {
   seed : int;
 }
 
-(* splitmix64-style avalanche for a reproducible per-branch coin. *)
+(* A reproducible per-branch coin. *)
 let rand_bit ~seed ~proc ~pc =
-  let z = ref (seed * 0x9E3779B9 + (proc * 65599) + pc + 0x1234567) in
-  z := (!z lxor (!z lsr 30)) * 0x4F58476D1CE4E5B9;
-  z := (!z lxor (!z lsr 27)) * 0x14D049BB133111EB;
-  z := !z lxor (!z lsr 31);
-  !z land 1 = 1
+  let z = (seed * 0x9E3779B9) + (proc * 65599) + pc + 0x1234567 in
+  Sim.Dataset.mix z land 1 = 1
 
 let make ?(seed = 42) program analyses ~taken ~fall =
   let branches = ref [] in

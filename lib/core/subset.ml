@@ -208,12 +208,9 @@ let run ?k ?(max_trials = max_int) (m : float array array) =
   let pool = Par.Pool.get () in
   (* The chunk size is part of the reproducibility contract (each chunk
      re-sums its first combination, so resizing it moves float
-     accumulation boundaries); scheduling coarseness is not.  Batch
-     chunks so each domain sees ~4 tasks. *)
-  let nchunks = (total + chunk_trials - 1) / chunk_trials in
-  let batch = max 1 (nchunks / (Par.Pool.jobs pool * 4)) in
+     accumulation boundaries); scheduling coarseness is not. *)
   let win_counts =
-    Par.Pool.reduce pool ~batch ~n:total ~chunk:chunk_trials
+    Par.Pool.reduce pool ~n:total ~chunk:chunk_trials
       ~map:(fun lo hi -> walk_range m ~nb ~no ~k lo (hi - lo))
       ~merge:(fun acc part ->
         Array.iteri (fun o c -> acc.(o) <- acc.(o) + c) part;

@@ -1,14 +1,8 @@
-let matrix_cache :
-    (float array array * Bench_run.t list) option ref =
-  ref None
-
-let matrix_cache_mutex = Mutex.create ()
+let matrix_cache : (unit, float array array * Bench_run.t list) Cache.Memo.t =
+  Cache.Memo.create ()
 
 let miss_matrix_cached () =
-  match Mutex.protect matrix_cache_mutex (fun () -> !matrix_cache) with
-  | Some v -> v
-  | None ->
-    let v =
+  Cache.Memo.find_or_add matrix_cache () (fun () ->
       Obs.span ~name:"stage.miss_matrix" (fun () ->
           let rs =
             Par.Pool.parallel_map_list (Par.Pool.get ()) Bench_run.load
@@ -17,14 +11,9 @@ let miss_matrix_cached () =
           let dbs =
             Array.of_list (List.map (fun (r : Bench_run.t) -> r.db) rs)
           in
-          let m = Predict.Ordering.miss_matrix dbs in
-          (m, rs))
-    in
-    Mutex.protect matrix_cache_mutex (fun () -> matrix_cache := Some v);
-    v
+          (Predict.Ordering.miss_matrix dbs, rs)))
 
-let reset () =
-  Mutex.protect matrix_cache_mutex (fun () -> matrix_cache := None)
+let reset () = Cache.Memo.clear matrix_cache
 
 let order_string idx =
   String.concat " "

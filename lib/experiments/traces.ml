@@ -6,42 +6,27 @@ let predictors_for (r : Bench_run.t) =
     ("Perfect", Bench_run.prediction_bits r Predict.Combined.perfect_predict);
   ]
 
-(* Shared across domains; the mutex guards the table only, the trace
-   simulation runs unlocked (deterministic, so a racing duplicate is
-   harmless). *)
-let trace_cache : (string, Tracing.Ipbc.distribution list) Hashtbl.t =
-  Hashtbl.create 16
-
-let trace_cache_mutex = Mutex.create ()
+let trace_cache : (string, Tracing.Ipbc.distribution list) Cache.Memo.t =
+  Cache.Memo.create ()
 
 (* Bump when the predictors, the break accounting, or
    [Tracing.Ipbc.distribution] change. *)
 let traces_version = "traces/1"
 
 let distributions name =
-  match
-    Mutex.protect trace_cache_mutex (fun () ->
-        Hashtbl.find_opt trace_cache name)
-  with
-  | Some d -> d
-  | None ->
-    (* chaos hooks, as in [Bench_run.load] *)
-    Robust.Inject.delay ~label:("traces:" ^ name);
-    Robust.Inject.raise_in_task ~label:("traces:" ^ name);
-    let r = Bench_run.load (Workloads.Registry.find name) in
-    let ds = Workloads.Workload.primary_dataset r.wl in
-    let predictors = predictors_for r in
-    let d =
+  Cache.Memo.find_or_add trace_cache name (fun () ->
+      (* chaos hooks, as in [Bench_run.load] *)
+      Robust.Inject.delay ~label:("traces:" ^ name);
+      Robust.Inject.raise_in_task ~label:("traces:" ^ name);
+      let r = Bench_run.load (Workloads.Registry.find name) in
+      let ds = Workloads.Workload.primary_dataset r.wl in
+      let predictors = predictors_for r in
       (* the key carries the prediction bits themselves, so a predictor
          change re-simulates without a version bump *)
       Cache.Store.memo ~version:traces_version ~key:(r.prog, ds, predictors)
         (fun () ->
           List.map Tracing.Ipbc.of_result
-            (Sim.Trace_run.run ~decoded:r.decoded r.prog ds predictors))
-    in
-    Mutex.protect trace_cache_mutex (fun () ->
-        Hashtbl.replace trace_cache name d);
-    d
+            (Sim.Trace_run.run ~decoded:r.decoded r.prog ds predictors)))
 
 let warm () =
   Obs.span ~name:"stage.traces" (fun () ->
@@ -50,8 +35,7 @@ let warm () =
            (fun (wl : Workloads.Workload.t) -> distributions wl.name)
            (Workloads.Registry.traced ())))
 
-let reset () =
-  Mutex.protect trace_cache_mutex (fun () -> Hashtbl.reset trace_cache)
+let reset () = Cache.Memo.clear trace_cache
 
 let lengths = [ 10; 20; 50; 100; 200; 500; 1000; 2000; 5000; 10000 ]
 

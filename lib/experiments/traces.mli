@@ -7,6 +7,10 @@ val predictors_for :
     primary dataset's own profile), Heuristic (loop predictor + the
     prioritised heuristics + random default), and Loop+Rand. *)
 
+val distributions : string -> Tracing.Ipbc.distribution list
+(** The distributions of one workload (by name), one per predictor of
+    {!predictors_for}; memoised in process and in {!Cache.Store}. *)
+
 val graph_for : Format.formatter -> string -> unit
 (** Cumulative sequence-length distributions for one traced workload:
     miss rate, IPBC average, dividing length, and the cumulative

@@ -137,7 +137,7 @@ let check_decoded prog (profile : Sim.Profile.t) =
 (* the 5040-order miss matrix must not depend on the pool width *)
 let check_determinism db =
   let with_jobs j f =
-    let prev = Par.Pool.default_jobs () in
+    let prev = Par.Pool.effective_jobs () in
     Par.Pool.set_jobs j;
     Fun.protect ~finally:(fun () -> Par.Pool.set_jobs prev) f
   in

@@ -25,10 +25,8 @@ type failure = { index : int; exn : exn; backtrace : Printexc.raw_backtrace }
 type job = {
   body : int -> unit;
   total : int;
-  fail_fast : bool;
   next : int Atomic.t;
   finished : int Atomic.t;
-  cancelled : bool Atomic.t;
   mutable failure : failure option; (* guarded by the pool mutex *)
 }
 
@@ -51,23 +49,19 @@ let has_pending_job t =
 
 (* Claim and run indices until the job is drained.  Exceptions are
    recorded (first wins, with its backtrace) but never abort the join:
-   [finished] is incremented regardless — also for indices skipped
-   after a fail-fast cancellation — so the caller cannot deadlock and
-   the worker domains survive to serve the next job. *)
+   [finished] is incremented regardless, so the caller cannot deadlock
+   and the worker domains survive to serve the next job. *)
 let execute t (j : job) =
   let rec grab () =
     let i = Atomic.fetch_and_add j.next 1 in
     if i < j.total then begin
-      if not (Atomic.get j.cancelled) then begin
-        try j.body i
-        with e ->
-          let bt = Printexc.get_raw_backtrace () in
-          if j.fail_fast then Atomic.set j.cancelled true;
-          Mutex.lock t.mutex;
-          if j.failure = None then
-            j.failure <- Some { index = i; exn = e; backtrace = bt };
-          Mutex.unlock t.mutex
-      end;
+      (try j.body i
+       with e ->
+         let bt = Printexc.get_raw_backtrace () in
+         Mutex.lock t.mutex;
+         if j.failure = None then
+           j.failure <- Some { index = i; exn = e; backtrace = bt };
+         Mutex.unlock t.mutex);
       let f = 1 + Atomic.fetch_and_add j.finished 1 in
       if f = j.total then begin
         Mutex.lock t.mutex;
@@ -130,8 +124,7 @@ let raise_failure { index; exn; backtrace } =
 let jobs_counter = Obs.Metrics.counter "pool.jobs"
 let tasks_counter = Obs.Metrics.counter "pool.tasks"
 
-(* Sequential execution with the same failure contract as the pool:
-   the first exception stops the loop (inherently fail-fast) and is
+(* Sequential execution: the first exception stops the loop and is
    re-raised as [Task_failed] carrying the task index. *)
 let run_seq n body =
   Obs.Metrics.incr jobs_counter;
@@ -146,7 +139,7 @@ let run_seq n body =
     let bt = Printexc.get_raw_backtrace () in
     raise_failure { index = !i; exn = e; backtrace = bt }
 
-let run t ?(fail_fast = false) n body =
+let run t n body =
   if n > 0 then begin
     if t.size = 1 || n = 1 then
       (* sequential fast path: no handoff, ascending order *)
@@ -160,10 +153,8 @@ let run t ?(fail_fast = false) n body =
             {
               body;
               total = n;
-              fail_fast;
               next = Atomic.make 0;
               finished = Atomic.make 0;
-              cancelled = Atomic.make false;
               failure = None;
             }
           in
@@ -189,15 +180,11 @@ let run t ?(fail_fast = false) n body =
     end
   end
 
-(* True when [n] work items are too few to bother the worker domains:
-   parallel execution needs at least two domains' worth of
-   [min_per_domain] items to amortise the fork-join handoff. *)
-let below_threshold min_per_domain n =
-  match min_per_domain with Some m -> n < 2 * max 1 m | None -> false
-
-let parallel_for t ?fail_fast ?chunk ?min_per_domain n body =
+let parallel_for t ?chunk ?(min_per_domain = 0) n body =
   if n > 0 then begin
-    if below_threshold min_per_domain n then run_seq n body
+    (* fewer than two domains' worth of [min_per_domain] items do not
+       amortise the fork-join handoff *)
+    if n < 2 * min_per_domain then run_seq n body
     else begin
       let chunk =
         match chunk with
@@ -205,7 +192,7 @@ let parallel_for t ?fail_fast ?chunk ?min_per_domain n body =
         | None -> max 1 (n / (t.size * 4)) (* ~4 tasks per domain *)
       in
       let nchunks = (n + chunk - 1) / chunk in
-      run t ?fail_fast nchunks (fun c ->
+      run t nchunks (fun c ->
           let lo = c * chunk and hi = min n ((c + 1) * chunk) in
           for i = lo to hi - 1 do
             body i
@@ -213,30 +200,28 @@ let parallel_for t ?fail_fast ?chunk ?min_per_domain n body =
     end
   end
 
-let parallel_map t ?min_per_domain f a =
+let parallel_map t f a =
   let n = Array.length a in
   if n = 0 then [||]
   else begin
     let out = Array.make n None in
-    let body i = out.(i) <- Some (f a.(i)) in
-    if below_threshold min_per_domain n then run_seq n body else run t n body;
+    run t n (fun i -> out.(i) <- Some (f a.(i)));
     Array.map Option.get out
   end
 
-let parallel_map_list t ?min_per_domain f l =
-  Array.to_list (parallel_map t ?min_per_domain f (Array.of_list l))
+let parallel_map_list t f l = Array.to_list (parallel_map t f (Array.of_list l))
 
-let reduce t ?(batch = 1) ~n ~chunk ~map ~merge ~init () =
+let reduce t ~n ~chunk ~map ~merge ~init () =
   if n <= 0 then init
   else begin
     let chunk = max 1 chunk in
-    let batch = max 1 batch in
     let nchunks = (n + chunk - 1) / chunk in
     let parts = Array.make nchunks None in
-    (* [batch] adjacent chunks share one scheduled task.  Each chunk is
-       still mapped over its own [lo, hi) and merged in ascending chunk
-       order, so batching changes scheduling granularity only — never
-       the result. *)
+    (* [batch] adjacent chunks share one scheduled task, ~4 tasks per
+       domain.  Each chunk is still mapped over its own [lo, hi) and
+       merged in ascending chunk order, so batching changes scheduling
+       granularity only — never the result. *)
+    let batch = max 1 (nchunks / (t.size * 4)) in
     let ntasks = (nchunks + batch - 1) / batch in
     run t ntasks (fun task ->
         let cfirst = task * batch in
@@ -269,12 +254,10 @@ let requested_jobs () =
 (* Without an explicit override the width is clamped to the hardware's
    recommended domain count: oversubscribing domains on a small host
    makes every parallel stage slower, not faster. *)
-let default_jobs () =
+let effective_jobs () =
   match requested_jobs () with
   | Some n -> n
   | None -> Domain.recommended_domain_count ()
-
-let effective_jobs = default_jobs
 
 let set_jobs n =
   let n = max 1 n in
@@ -296,7 +279,7 @@ let get () =
     match !default_pool with
     | Some p -> p
     | None ->
-      let p = create ~jobs:(default_jobs ()) in
+      let p = create ~jobs:(effective_jobs ()) in
       default_pool := Some p;
       if not !exit_hook_installed then begin
         exit_hook_installed := true;

@@ -44,23 +44,17 @@ val shutdown : t -> unit
 (** Terminate and join the worker domains.  The pool must be idle.
     Idempotent. *)
 
-val run : t -> ?fail_fast:bool -> int -> (int -> unit) -> unit
+val run : t -> int -> (int -> unit) -> unit
 (** [run t n body] executes [body i] exactly once for every
     [0 <= i < n], distributing indices over the pool's domains.  The
     caller participates and returns once all [n] tasks have finished.
     If any task raises, the join re-raises {!Task_failed} in the
     caller, carrying the failing index, original exception, and its
-    backtrace.
+    backtrace.  The sequential fast path ([jobs = 1] or [n = 1])
+    stops at the first exception; the pool path runs every index. *)
 
-    With [~fail_fast:true] (default [false]), the first failure
-    cancels the job: task indices not yet started are claimed but
-    skipped, so the join returns quickly instead of paying for the
-    full range.  The pool stays fully usable afterwards.  The
-    sequential fast path ([jobs = 1] or [n = 1]) is inherently
-    fail-fast: the first exception stops the loop. *)
-
-val parallel_for : t -> ?fail_fast:bool -> ?chunk:int ->
-  ?min_per_domain:int -> int -> (int -> unit) -> unit
+val parallel_for : t -> ?chunk:int -> ?min_per_domain:int -> int ->
+  (int -> unit) -> unit
 (** [parallel_for t ?chunk n body] runs [body i] for [0 <= i < n],
     grouping [chunk] consecutive indices into one task (default: a
     chunk size aiming at ~4 tasks per domain).  Within a chunk, indices
@@ -72,21 +66,16 @@ val parallel_for : t -> ?fail_fast:bool -> ?chunk:int ->
     with no pool handoff.  Results are identical either way.
 
     Failures re-raise as {!Task_failed}; on the chunked parallel path
-    the reported index is the chunk's task index.  [fail_fast] as in
-    {!run}. *)
+    the reported index is the chunk's task index. *)
 
-val parallel_map : t -> ?min_per_domain:int -> ('a -> 'b) -> 'a array ->
-  'b array
+val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Like [Array.map], with elements processed across the pool.  The
-    result preserves input order.  [min_per_domain] as in
-    {!parallel_for}. *)
+    result preserves input order. *)
 
-val parallel_map_list : t -> ?min_per_domain:int -> ('a -> 'b) ->
-  'a list -> 'b list
-(** Like [List.map], with elements processed across the pool.
-    [min_per_domain] as in {!parallel_for}. *)
+val parallel_map_list : t -> ('a -> 'b) -> 'a list -> 'b list
+(** Like [List.map], with elements processed across the pool. *)
 
-val reduce : t -> ?batch:int -> n:int -> chunk:int ->
+val reduce : t -> n:int -> chunk:int ->
   map:(int -> int -> 'a) -> merge:('a -> 'a -> 'a) -> init:'a -> unit -> 'a
 (** Chunked reduce: the index range [0, n) is cut into fixed chunks of
     size [chunk]; [map lo hi] folds one chunk [lo, hi) to a partial
@@ -97,11 +86,9 @@ val reduce : t -> ?batch:int -> n:int -> chunk:int ->
     of domains even when [merge] is not associative-commutative in
     floating point.
 
-    [batch] groups that many adjacent chunks into one scheduled task
-    (default 1).  Batching coarsens scheduling without touching the
-    chunk decomposition, so it never changes the result — use it when
-    [chunk] must stay small for reproducibility but per-chunk work is
-    cheap relative to the handoff. *)
+    Adjacent chunks are batched into about four scheduled tasks per
+    domain.  Batching coarsens scheduling without touching the chunk
+    decomposition, so it never changes the result. *)
 
 (** {1 The process-wide default pool}
 
@@ -115,9 +102,6 @@ val reduce : t -> ?batch:int -> n:int -> chunk:int ->
 val effective_jobs : unit -> int
 (** The width the default pool would have right now: the explicit
     request if any, else [Domain.recommended_domain_count ()]. *)
-
-val default_jobs : unit -> int
-(** Alias of {!effective_jobs}, kept for existing callers. *)
 
 val set_jobs : int -> unit
 (** Override the default pool width ([-j N]).  If the default pool

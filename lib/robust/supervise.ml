@@ -42,7 +42,7 @@ let with_deadline ~label ~seconds f =
   in
   poll ()
 
-let run ?timeout ?policy ?sleep ?(seed = 0) ~label f =
+let run ?timeout ?sleep ~label f =
   Obs.span ~name:"supervise" ~attrs:[ ("label", label) ] @@ fun () ->
   let attempts = ref 0 in
   let body () =
@@ -55,7 +55,7 @@ let run ?timeout ?policy ?sleep ?(seed = 0) ~label f =
      will almost surely miss it again, and the orphaned domain may
      still be running. *)
   let retry_on e = Fault.is_transient e && not (Fault.kind_of_exn e = Timeout) in
-  match Backoff.retry ?policy ?sleep ~retry_on ~seed ~label body with
+  match Backoff.retry ?sleep ~retry_on ~seed:0 ~label body with
   | v ->
     let status = if !attempts > 1 then Recovered (!attempts - 1) else Completed in
     { label; attempts = !attempts; value = Some v; status }

@@ -19,18 +19,14 @@ type 'a outcome = {
 }
 
 val run :
-  ?timeout:float ->
-  ?policy:Backoff.policy ->
-  ?sleep:(float -> unit) ->
-  ?seed:int ->
-  label:string ->
-  (unit -> 'a) ->
-  'a outcome
+  ?timeout:float -> ?sleep:(float -> unit) -> label:string ->
+  (unit -> 'a) -> 'a outcome
 (** [run ~label f] supervises [f].  With [?timeout] the body executes
     on a spawned domain against a wall-clock deadline; a task that
     misses it fails with kind [Timeout] (never retried — its orphaned
     domain may still be running, and fuel-bounding guarantees the
     orphan eventually terminates).  Transient failures retry per
-    [policy] (default {!Backoff.default_policy}) with seeded jitter.
-    Counters are bumped for retries, timeouts, fuel exhaustion, and
-    permanent failures. *)
+    {!Backoff.default_policy}, with jitter seeded by [label] alone.
+    [sleep] (default [Unix.sleepf]) exists for tests.  Counters are
+    bumped for retries, timeouts, fuel exhaustion, and permanent
+    failures. *)

@@ -24,7 +24,8 @@ let run ?max_instrs ?decoded prog input =
   let d =
     match decoded with
     | Some (d : Decode.t) ->
-      assert (d.prog == prog);
+      if d.prog != prog then
+        invalid_arg "Profile.run: decoded is not a decoding of prog";
       d
     | None -> Decode.of_program prog
   in

@@ -12,8 +12,9 @@ type t = {
 val run :
   ?max_instrs:int -> ?decoded:Decode.t -> Mips.Program.t -> Dataset.t -> t
 (** Execute and collect the edge profile.  [decoded], when given, must
-    be the decoding of this very program (checked by physical
-    equality) and skips the per-call decode pass. *)
+    be the decoding of this very program and skips the per-call decode
+    pass.  @raise Invalid_argument if it decodes another program
+    (checked by physical equality). *)
 
 val run_decoded : ?max_instrs:int -> Decode.t -> Dataset.t -> t
 (** {!run} on a program decoded up front. *)

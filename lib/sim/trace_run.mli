@@ -39,5 +39,6 @@ val run :
   Mips.Program.t -> Dataset.t -> (string * prediction_bits) list ->
   result list
 (** Execute once, measuring every labelled predictor.  [decoded], when
-    given, must be the decoding of this very program (checked by
-    physical equality) and skips the per-call decode pass. *)
+    given, must be the decoding of this very program and skips the
+    per-call decode pass.  @raise Invalid_argument if it decodes
+    another program (checked by physical equality). *)

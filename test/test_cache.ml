@@ -233,6 +233,61 @@ let test_profile_through_store () =
         (warm.stats = fresh.stats && warm.taken = fresh.taken
        && warm.fall = fresh.fall))
 
+(* ---- Cache.Memo: the in-process tables ---- *)
+
+let test_in_process_memo_once_per_key () =
+  let t = Cache.Memo.create () in
+  let calls = ref 0 in
+  let get k = Cache.Memo.find_or_add t k (fun () -> incr calls; !calls) in
+  checki "computed" 1 (get "a");
+  checki "served" 1 (get "a");
+  checki "other key computed" 2 (get "b");
+  Cache.Memo.clear t;
+  checki "recomputed after clear" 3 (get "a")
+
+(* four domains all miss, then wait for each other inside [compute],
+   so each computes its own value; all four must get the first one
+   stored *)
+let test_in_process_memo_race_one_value () =
+  let t = Cache.Memo.create () in
+  let arrived = Atomic.make 0 in
+  let compute () =
+    Atomic.incr arrived;
+    while Atomic.get arrived < 4 do
+      Domain.cpu_relax ()
+    done;
+    ref 0
+  in
+  let vs =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () -> Cache.Memo.find_or_add t () compute))
+    |> List.map Domain.join
+  in
+  checki "every racer computed" 4 (Atomic.get arrived);
+  List.iter (fun v -> checkb "one physical value" true (v == List.hd vs)) vs
+
+(* one [reset_all] drops the pipeline's compile, load, non-primary
+   database and trace tables *)
+let test_reset_all_clears_pipeline_tables () =
+  with_temp_store (fun _dir ->
+      let wl = Workloads.Registry.find "xlisp" in
+      let fill () =
+        let r = Experiments.Bench_run.load wl in
+        ( Workloads.Workload.compile wl,
+          r,
+          Experiments.Bench_run.db_for r (List.nth wl.datasets 1),
+          Experiments.Traces.distributions wl.name )
+      in
+      let p1, r1, db1, d1 = fill () in
+      let p2, r2, db2, d2 = fill () in
+      checkb "memoised" true (p1 == p2 && r1 == r2 && db1 == db2 && d1 == d2);
+      Cache.Memo.reset_all ();
+      let p3, r3, db3, d3 = fill () in
+      checkb "fresh compile" true (p3 != p1);
+      checkb "fresh load" true (r3 != r1);
+      checkb "fresh db_for" true (db3 != db1);
+      checkb "fresh distributions" true (d3 != d1))
+
 let () =
   Random.self_init ();
   Alcotest.run "cache"
@@ -257,5 +312,14 @@ let () =
             test_clear_empties_store;
           Alcotest.test_case "profile survives the store" `Quick
             test_profile_through_store;
+        ] );
+      ( "memo",
+        [
+          Alcotest.test_case "compute once per key" `Quick
+            test_in_process_memo_once_per_key;
+          Alcotest.test_case "racing domains share one value" `Quick
+            test_in_process_memo_race_one_value;
+          Alcotest.test_case "reset_all clears the pipeline tables" `Quick
+            test_reset_all_clears_pipeline_tables;
         ] );
     ]

@@ -33,8 +33,8 @@ let test_workload_registry_differential () =
         wl.datasets)
     Workloads.Registry.all
 
-(* decoding is cached per Program.t; the explicit [decoded] argument
-   must agree with the implicit decode-on-demand path *)
+(* the explicit [decoded] argument must agree with the implicit
+   decode-on-demand path *)
 let test_decode_on_demand_agrees () =
   let wl = Workloads.Registry.find "gcc" in
   let prog = Workloads.Workload.compile wl in
@@ -92,6 +92,17 @@ let test_scratch_reuse_is_clean () =
         a b)
     wl.datasets
 
+(* a decoding of another program must be refused, also under
+   [-noassert]: it would silently simulate the wrong program *)
+let rejects_foreign_decoding run () =
+  let grep = Workloads.Registry.find "grep" in
+  let compress = Workloads.Registry.find "compress" in
+  let decoded = Sim.Decode.of_program (Workloads.Workload.compile compress) in
+  let ds = Workloads.Workload.primary_dataset grep in
+  match run ~decoded (Workloads.Workload.compile grep) ds with
+  | () -> Alcotest.fail "accepted another program's decoding"
+  | exception Invalid_argument _ -> ()
+
 let () =
   Alcotest.run "decode"
     [
@@ -105,5 +116,11 @@ let () =
             test_fuzzed_programs_differential;
           Alcotest.test_case "scratch reuse leaves no residue" `Quick
             test_scratch_reuse_is_clean;
+          Alcotest.test_case "profile rejects a foreign decoding" `Quick
+            (rejects_foreign_decoding (fun ~decoded p ds ->
+                 ignore (Sim.Profile.run ~decoded p ds)));
+          Alcotest.test_case "trace run rejects a foreign decoding" `Quick
+            (rejects_foreign_decoding (fun ~decoded p ds ->
+                 ignore (Sim.Trace_run.run ~decoded p ds [])));
         ] );
     ]

@@ -58,37 +58,26 @@ let test_reduce_merges_in_chunk_order () =
   (* [map] returns its chunk bounds; a non-commutative merge
      (concatenation) must still see chunks in ascending order at every
      pool width. *)
-  let expected =
-    Par.Pool.reduce
-      (Par.Pool.create ~jobs:1)
-      ~n:103 ~chunk:10
+  let chunks p n =
+    Par.Pool.reduce p ~n ~chunk:10
       ~map:(fun lo hi -> [ (lo, hi) ])
       ~merge:(fun a b -> a @ b)
       ~init:[] ()
   in
+  let expected = with_pool 1 (fun p -> chunks p 103) in
   checki "11 chunks" 11 (List.length expected);
+  (* 101 chunks are enough for [reduce] to batch several adjacent
+     chunks into one task at widths 2-4; batching must not change the
+     merge: same chunks, same ascending order as at -j 1 *)
+  let expected_batched = with_pool 1 (fun p -> chunks p 1003) in
+  checki "101 chunks" 101 (List.length expected_batched);
   List.iter
     (fun jobs ->
       with_pool jobs (fun p ->
-          let got =
-            Par.Pool.reduce p ~n:103 ~chunk:10
-              ~map:(fun lo hi -> [ (lo, hi) ])
-              ~merge:(fun a b -> a @ b)
-              ~init:[] ()
-          in
-          checkb "chunk order independent of width" true (got = expected);
-          (* batching groups chunks into fewer tasks but must not
-             change the merge: same chunks, same ascending order *)
-          List.iter
-            (fun batch ->
-              let got =
-                Par.Pool.reduce p ~batch ~n:103 ~chunk:10
-                  ~map:(fun lo hi -> [ (lo, hi) ])
-                  ~merge:(fun a b -> a @ b)
-                  ~init:[] ()
-              in
-              checkb "batched reduce identical" true (got = expected))
-            [ 2; 3; 16 ]))
+          checkb "chunk order independent of width" true
+            (chunks p 103 = expected);
+          checkb "batched reduce identical" true
+            (chunks p 1003 = expected_batched)))
     widths
 
 exception Boom
@@ -112,7 +101,18 @@ let test_exception_propagates () =
        with Par.Pool.Task_failed _ -> ());
       let sum = Atomic.make 0 in
       Par.Pool.run p 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
-      checki "pool still works" 28 (Atomic.get sum))
+      checki "pool still works" 28 (Atomic.get sum));
+  (* the sequential path stops at the first failure *)
+  with_pool 1 (fun p ->
+      let ran = ref 0 in
+      (match
+         Par.Pool.run p 100 (fun i ->
+             incr ran;
+             if i = 3 then raise Boom)
+       with
+      | () -> Alcotest.fail "expected Task_failed"
+      | exception Par.Pool.Task_failed { index; _ } -> checki "index" 3 index);
+      checki "stopped at the failure" 4 !ran)
 
 let test_exception_backtrace () =
   with_pool 4 (fun p ->
@@ -124,36 +124,6 @@ let test_exception_backtrace () =
         (* the backtrace is the raw capture from the raising domain;
            just assert it converts without blowing up *)
         ignore (Printexc.raw_backtrace_to_string backtrace : string))
-
-let test_fail_fast_cancels () =
-  (* with fail_fast, tasks not yet started when the failure lands are
-     skipped; without it, every task runs *)
-  with_pool 4 (fun p ->
-      let ran = Atomic.make 0 in
-      (match
-         Par.Pool.run p ~fail_fast:true 10_000 (fun i ->
-             ignore (Atomic.fetch_and_add ran 1);
-             if i = 0 then raise Boom)
-       with
-      | () -> Alcotest.fail "expected Task_failed"
-      | exception Par.Pool.Task_failed { exn = Boom; _ } -> ()
-      | exception _ -> Alcotest.fail "expected Task_failed{exn=Boom}");
-      checkb "cancellation skipped most tasks" true (Atomic.get ran < 10_000);
-      (* the pool is immediately reusable after a cancelled job *)
-      let sum = Atomic.make 0 in
-      Par.Pool.run p 8 (fun i -> ignore (Atomic.fetch_and_add sum i));
-      checki "pool reusable after fail-fast" 28 (Atomic.get sum));
-  (* the sequential path is inherently fail-fast *)
-  with_pool 1 (fun p ->
-      let ran = ref 0 in
-      (match
-         Par.Pool.run p 100 (fun i ->
-             incr ran;
-             if i = 3 then raise Boom)
-       with
-      | () -> Alcotest.fail "expected Task_failed"
-      | exception Par.Pool.Task_failed { index; _ } -> checki "index" 3 index);
-      checki "stopped at the failure" 4 !ran)
 
 let test_nested_data_parallel_sections () =
   (* back-to-back jobs on one pool reuse the same workers *)
@@ -191,37 +161,20 @@ let test_fewer_tasks_than_jobs () =
         (chunks = [ (0, 3); (3, 6); (6, 9); (9, 10) ]))
 
 let test_min_per_domain_threshold () =
-  (* below the threshold the combinators must not hand work to any
-     other domain: every body runs on the calling domain *)
+  (* below the threshold [parallel_for] must not hand work to any other
+     domain: every body runs on the calling domain *)
   let self () = (Domain.self () :> int) in
   with_pool 4 (fun p ->
       let caller = self () in
-      let input = Array.init 9 (fun i -> i) in
       let seen = Array.make 9 (-1) in
-      let out =
-        Par.Pool.parallel_map p ~min_per_domain:5
-          (fun x ->
-            seen.(x) <- self ();
-            x * 2)
-          input
-      in
-      checkb "map result unchanged" true
-        (out = Array.map (fun x -> x * 2) input);
-      Array.iter (checki "ran on the caller" caller) seen;
-      Array.fill seen 0 9 (-1);
       Par.Pool.parallel_for p ~min_per_domain:5 9 (fun i -> seen.(i) <- self ());
       Array.iter (checki "for ran on the caller" caller) seen;
-      let lst =
-        Par.Pool.parallel_map_list p ~min_per_domain:5 (fun x -> x + 1)
-          [ 1; 2; 3 ]
-      in
-      checkb "map_list result unchanged" true (lst = [ 2; 3; 4 ]);
       (* at or above 2 x min_per_domain the parallel path re-engages
          and still produces identical results *)
-      let big = Array.init 64 (fun i -> i) in
-      let out = Par.Pool.parallel_map p ~min_per_domain:5 (fun x -> x * 3) big in
+      let out = Array.make 64 0 in
+      Par.Pool.parallel_for p ~min_per_domain:5 64 (fun i -> out.(i) <- i * 3);
       checkb "above threshold identical" true
-        (out = Array.map (fun x -> x * 3) big))
+        (out = Array.init 64 (fun i -> i * 3)))
 
 (* Regression for the lingering-job bug: after the join, the pool used
    to keep its last [job] record (and therefore the job's body closure,
@@ -245,7 +198,7 @@ let test_job_dropped_after_join () =
 
 let test_default_pool_set_jobs () =
   Par.Pool.set_jobs 3;
-  checki "requested width" 3 (Par.Pool.default_jobs ());
+  checki "requested width" 3 (Par.Pool.effective_jobs ());
   checki "pool width follows" 3 (Par.Pool.jobs (Par.Pool.get ()));
   Par.Pool.set_jobs 1;
   checki "re-created narrower" 1 (Par.Pool.jobs (Par.Pool.get ()))
@@ -266,7 +219,6 @@ let () =
           Alcotest.test_case "exceptions" `Quick test_exception_propagates;
           Alcotest.test_case "exception backtrace" `Quick
             test_exception_backtrace;
-          Alcotest.test_case "fail fast" `Quick test_fail_fast_cancels;
           Alcotest.test_case "job reuse" `Quick
             test_nested_data_parallel_sections;
           Alcotest.test_case "fewer tasks than jobs" `Quick
