@@ -80,8 +80,10 @@ let next_combination comb n =
 let chunk_trials = 8192
 
 (* Walk the [len] combinations of rank [lo .. lo+len-1] and return the
-   per-order win counts for this range. *)
+   per-order win counts for this range.  Each chunk starts at a
+   deadline checkpoint, so a timed-out walk stops within one chunk. *)
 let walk_range (m : float array array) ~nb ~no ~k lo len =
+  Sim.Machine.check_deadline ();
   let comb = unrank ~n:nb ~k lo in
   let cur = Array.make no 0. in
   Array.iter

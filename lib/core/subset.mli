@@ -42,7 +42,9 @@ val run : ?k:int -> ?max_trials:int -> float array array -> result
 (** [run m] over the miss matrix from {!Ordering.miss_matrix}
     ([m.(benchmark).(order)]).  [k] defaults to half the benchmarks,
     rounded up.  [max_trials] caps the enumeration (first trials in
-    lexicographic order) for quick runs; default unlimited. *)
+    lexicographic order) for quick runs; default unlimited.  Each
+    8192-trial chunk first calls {!Sim.Machine.check_deadline}, so a
+    walk past the deadline raises [Sim.Machine.Deadline_exceeded]. *)
 
 val cumulative_share : result -> float array
 (** Graph 2's series: cumulative fraction of all trials accounted for

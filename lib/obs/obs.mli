@@ -16,8 +16,8 @@
     [--trace FILE] on the CLIs or [BALLARUS_TRACE=FILE] in the
     environment; the file is written at process exit.
 
-    {b Metrics} — a process-wide registry of named counters, gauges
-    and log-scale histograms ({!Metrics}).  Metrics are always on
+    {b Metrics} — a process-wide registry of named counters and
+    log-scale histograms ({!Metrics}).  Metrics are always on
     (atomic increments; they replace the ad-hoc robustness counters),
     independent of the span flag — except that every recorded span
     also feeds the histogram [span.<name>], which is how
@@ -113,7 +113,6 @@ val trace_file : unit -> string option
 
 module Metrics : sig
   type counter
-  type gauge
   type histogram
 
   type hstats = {
@@ -132,10 +131,6 @@ module Metrics : sig
   val value : counter -> int
   val set : counter -> int -> unit
 
-  val gauge : string -> gauge
-  val set_gauge : gauge -> float -> unit
-  val gauge_value : gauge -> float
-
   val histogram : string -> histogram
   (** Log-scale histogram: power-of-two buckets, so values spanning
       nanoseconds to minutes fit in a fixed 66-slot array.  Quantiles
@@ -148,11 +143,10 @@ module Metrics : sig
   val counters : unit -> (string * int) list
   (** All registered counters, sorted by name. *)
 
-  val gauges : unit -> (string * float) list
   val histograms : unit -> (string * hstats) list
 
   val reset : unit -> unit
-  (** Zero every registered counter, gauge and histogram. *)
+  (** Zero every registered counter and histogram. *)
 
   val dump : Format.formatter -> unit
   (** Human-readable dump of the whole registry (the [bpredict stats]

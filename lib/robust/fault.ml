@@ -1,15 +1,4 @@
-type kind = Transient | Hard | Fuel_exhausted | Timeout | Cache_corrupt
-
-exception Timed_out of { task : string; seconds : float }
-exception Cache_corrupt_entry of string
-
-let () =
-  Printexc.register_printer (function
-    | Timed_out { task; seconds } ->
-      Some (Printf.sprintf "Robust.Fault.Timed_out(%s after %.3fs)" task seconds)
-    | Cache_corrupt_entry path ->
-      Some (Printf.sprintf "Robust.Fault.Cache_corrupt_entry(%s)" path)
-    | _ -> None)
+type kind = Transient | Hard | Fuel_exhausted | Timeout
 
 type t = {
   kind : kind;
@@ -23,7 +12,6 @@ let kind_name = function
   | Hard -> "hard"
   | Fuel_exhausted -> "fuel-exhausted"
   | Timeout -> "timeout"
-  | Cache_corrupt -> "cache-corrupt"
 
 (* Map an exception onto the taxonomy.  [Task_failed] wrappers from
    the pool are peeled so a fault keeps the classification of the
@@ -31,8 +19,7 @@ let kind_name = function
 let rec kind_of_exn = function
   | Inject.Chaos _ -> Transient
   | Sim.Machine.Out_of_fuel _ -> Fuel_exhausted
-  | Timed_out _ -> Timeout
-  | Cache_corrupt_entry _ -> Cache_corrupt
+  | Sim.Machine.Deadline_exceeded -> Timeout
   | Unix.Unix_error ((EINTR | EAGAIN | EWOULDBLOCK | EBUSY), _, _) -> Transient
   | Par.Pool.Task_failed { exn; _ } -> kind_of_exn exn
   | _ -> Hard

@@ -1,7 +1,7 @@
 (** The typed error taxonomy of the supervision layer.
 
     Every failure crossing a fault boundary is classified into one of
-    five kinds, which decides the recovery action: [Transient]
+    four kinds, which decides the recovery action: [Transient]
     failures are retried with backoff, everything else fails the task
     once (and the suite degrades gracefully around it). *)
 
@@ -9,16 +9,9 @@ type kind =
   | Transient  (** interrupted I/O, injected chaos — worth retrying *)
   | Hard  (** a genuine bug or unrecoverable error — never retried *)
   | Fuel_exhausted  (** the interpreter's step budget ran out *)
-  | Timeout  (** the task missed its wall-clock deadline *)
-  | Cache_corrupt  (** a damaged persistent-cache entry surfaced *)
-
-exception Timed_out of { task : string; seconds : float }
-(** Raised by the supervisor when a task exceeds its deadline. *)
-
-exception Cache_corrupt_entry of string
-(** Carries the path of a corrupt cache entry.  The store normally
-    recovers (quarantine + recompute) without raising; this exists for
-    callers that must surface corruption instead. *)
+  | Timeout
+      (** the task ran past its wall-clock deadline
+          ({!Sim.Machine.Deadline_exceeded}) *)
 
 type t = {
   kind : kind;

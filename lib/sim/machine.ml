@@ -67,6 +67,24 @@ let default_fuel_limit =
 let set_default_fuel n = default_fuel_limit := max 1 n
 let default_fuel () = !default_fuel_limit
 
+(* The process-wide wall-clock deadline, [infinity] when unset.  Where
+   fuel bounds a run by instructions, the deadline bounds it by time,
+   cooperatively: long-running work calls [check_deadline] where it
+   already pauses, on whichever domain runs it. *)
+exception Deadline_exceeded
+
+let deadline_cell = Atomic.make infinity
+let deadline () = Atomic.get deadline_cell
+let set_deadline t = Atomic.set deadline_cell t
+
+let check_deadline () =
+  let d = Atomic.get deadline_cell in
+  if d < infinity && Unix.gettimeofday () > d then raise Deadline_exceeded
+
+(* The decoded interpreter checks the deadline every this many
+   instructions. *)
+let fuel_slice = 1 lsl 16
+
 let max_call_depth = 65536
 
 (* Domain-local scratch memory.  The two memory planes are millions of
@@ -170,13 +188,17 @@ let noindirect _ = ()
    callbacks and faults), with the same values the legacy interpreter
    exposes at those points.  Dispatch is a single match over
    [Decode.op] — no nested operand or condition matches survive to run
-   time. *)
+   time.  [limit] is the fuel budget or the end of the current fuel
+   slice, whichever comes first, so the loop pays one comparison per
+   instruction for both fuel and deadline.  It starts at 0, so a run
+   also checks the deadline before its first instruction. *)
 
 let run_decoded ?max_instrs ?(on_branch = nobranch)
     ?(on_indirect = noindirect) (d : Decode.t) input =
   let max_instrs =
     match max_instrs with Some n -> n | None -> !default_fuel_limit
   in
+  let limit = ref 0 in
   let prog = d.Decode.prog in
   let m = create ~scratch:true prog input in
   let regs = m.iregs and fregs = m.fregs in
@@ -211,9 +233,11 @@ let run_decoded ?max_instrs ?(on_branch = nobranch)
       sync pc instrs;
       fault m "fell off the end of procedure"
     end;
-    if instrs >= max_instrs then begin
+    if instrs >= !limit then begin
       sync pc instrs;
-      out_of_fuel m
+      if instrs >= max_instrs then out_of_fuel m;
+      check_deadline ();
+      limit := min max_instrs (instrs + fuel_slice)
     end;
     let instrs = instrs + 1 in
     let x = Array.unsafe_get c.Decode.xs pc in

@@ -48,6 +48,22 @@ val default_fuel : unit -> int
 (** The fuel budget currently in force for runs without
     [?max_instrs]. *)
 
+exception Deadline_exceeded
+(** The wall-clock deadline passed; classified as [Timeout]. *)
+
+val deadline : unit -> float
+(** The process-wide wall-clock deadline (a [Unix.gettimeofday]
+    time, [infinity] when unset), shared by all domains.  It bounds a
+    run like fuel, but by time and cooperatively: work stops at its
+    next {!check_deadline}.  {!run_decoded} checks before the first
+    instruction and then once per fuel slice of 2{^16} instructions. *)
+
+val set_deadline : float -> unit
+
+val check_deadline : unit -> unit
+(** Raise {!Deadline_exceeded} if the deadline has passed; no clock
+    read when it is unset. *)
+
 type stats = {
   instr_count : int;
   checksum : int;
@@ -84,7 +100,9 @@ val run_decoded :
     program counter and instruction count in locals and dispatches on
     the dense {!Decode.op} code; [t.proc]/[t.pc]/[t.instrs] are
     synchronised before every [on_branch]/[on_indirect] call and every
-    fault, so observers see exactly what {!run_legacy} exposes. *)
+    fault, so observers see exactly what {!run_legacy} exposes.
+    Raises {!Deadline_exceeded} at its first checkpoint past the
+    {!deadline}. *)
 
 val run_legacy :
   ?max_instrs:int ->
@@ -94,4 +112,5 @@ val run_legacy :
 (** The original variant-dispatch interpreter, kept as the reference
     implementation for differential tests against the decoded path.
     Observationally identical to {!run}: same stats, same hook
-    sequence, same fault messages. *)
+    sequence, same fault messages.  It does not check the
+    {!deadline}. *)

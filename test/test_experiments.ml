@@ -56,6 +56,23 @@ let test_table_drivers_run () =
       | _ -> e.run null_formatter)
     Experiments.Driver.all
 
+(* An experiment that overruns its [--timeout] degrades to a timeout
+   banner and makes the suite exit 3, without hanging. *)
+let test_timeout_banner () =
+  let e = Option.get (Experiments.Driver.find "table1") in
+  let buf = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer buf in
+  let s =
+    Experiments.Driver.run_list ~quick:true ~timeout:1e-6 ~warm:false [ e ] ppf
+  in
+  Format.pp_print_flush ppf ();
+  let out = Buffer.contents buf in
+  checkb "timeout banner" true
+    (List.exists
+       (String.starts_with ~prefix:"!! table1 FAILED [timeout]")
+       (String.split_on_char '\n' out));
+  checki "exit code" 3 (Experiments.Driver.exit_code s)
+
 let load name = Experiments.Bench_run.load (Workloads.Registry.find name)
 
 let all_branch_miss predictor r =
@@ -227,6 +244,7 @@ let () =
       ( "drivers",
         [
           Alcotest.test_case "all drivers run" `Slow test_table_drivers_run;
+          Alcotest.test_case "timeout banner" `Quick test_timeout_banner;
         ] );
       ( "paper claims",
         [

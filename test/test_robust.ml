@@ -1,7 +1,7 @@
 (* Tests for the supervision layer: the fault taxonomy, seeded backoff
-   determinism, supervised task outcomes, wall-clock timeouts,
-   deterministic fault injection, and graceful suite degradation when
-   a runaway program exhausts its fuel. *)
+   determinism, supervised task outcomes, cooperative wall-clock
+   timeouts, deterministic fault injection, and graceful suite
+   degradation when a runaway program exhausts its fuel. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -19,10 +19,7 @@ let test_taxonomy () =
     (kind_of_exn (Robust.Inject.Chaos "x") = Transient);
   checkb "out of fuel" true
     (kind_of_exn (Sim.Machine.Out_of_fuel "m") = Fuel_exhausted);
-  checkb "timeout" true
-    (kind_of_exn (Timed_out { task = "t"; seconds = 1.0 }) = Timeout);
-  checkb "cache corrupt" true
-    (kind_of_exn (Cache_corrupt_entry "p") = Cache_corrupt);
+  checkb "timeout" true (kind_of_exn Sim.Machine.Deadline_exceeded = Timeout);
   checkb "EINTR is transient" true
     (kind_of_exn (Unix.Unix_error (Unix.EINTR, "read", "")) = Transient);
   checkb "unknown is hard" true (kind_of_exn Boom = Hard);
@@ -139,32 +136,118 @@ let test_supervise_outcomes () =
     checkb "label kept" true (String.equal f.task "hard")
   | _ -> Alcotest.fail "expected Failed")
 
+(* Simulated programs on a small memory, so each run is cheap to set
+   up: [runaway] loops forever (only fuel or the deadline stops it);
+   [counter n] halts after [n] iterations of a three-instruction
+   loop. *)
+let small_program main =
+  Mips.Program.make ~gp_base:16 ~heap_base:512 ~stack_base:3072
+    ~mem_words:4096 ~entry:"main" [ ("main", main) ]
+
+let runaway =
+  let open Mips.Asm in
+  let t0 = Mips.Reg.t 0 in
+  Sim.Decode.of_program
+    (small_program
+       [ Lab "top"; Ins (Mips.Insn.Alu (Add, t0, t0, Imm 1));
+         Ins (Mips.Insn.J "top") ])
+
+let counter n =
+  let open Mips.Asm in
+  let t0 = Mips.Reg.t 0 and t1 = Mips.Reg.t 1 in
+  Sim.Decode.of_program
+    (small_program
+       [ Ins (Mips.Insn.Li (t1, n)); Lab "top";
+         Ins (Mips.Insn.Alu (Add, t0, t0, Imm 1));
+         Ins (Mips.Insn.Bne (t0, t1, "top")); Ins (Mips.Insn.PrintI t0);
+         Ins Mips.Insn.Halt ])
+
+let no_input = Sim.Dataset.make ~name:"empty" [||]
+let run_forever () = ignore (Sim.Machine.run_decoded runaway no_input)
+
+let kind_of (o : _ Robust.Supervise.outcome) =
+  match o.status with
+  | Robust.Supervise.Failed f -> Some f.kind
+  | _ -> None
+
 let test_timeout () =
-  (* the body sleeps well past the deadline; the supervisor must give
-     up at the deadline, not wait for the body (which, orphaned,
-     finishes on its own) *)
+  (* the runaway body is stopped at its next fuel-slice checkpoint
+     after the deadline, on the calling domain *)
   let t0 = Unix.gettimeofday () in
-  let o =
-    Robust.Supervise.run ~timeout:0.05 ~label:"slow" (fun () ->
-        Unix.sleepf 1.5)
-  in
+  let o = Robust.Supervise.run ~timeout:0.05 ~label:"runaway" run_forever in
   let elapsed = Unix.gettimeofday () -. t0 in
-  (match o.status with
-  | Robust.Supervise.Failed f ->
-    checkb "classified timeout" true (f.kind = Robust.Fault.Timeout)
-  | _ -> Alcotest.fail "expected a timeout failure");
+  checkb "classified timeout" true (kind_of o = Some Robust.Fault.Timeout);
   checki "not retried" 1 o.attempts;
   checkb "returned near the deadline" true (elapsed < 1.0);
   (* a fast body under the same deadline completes normally *)
   let o = Robust.Supervise.run ~timeout:5.0 ~label:"fast" (fun () -> 11) in
   checkb "fast body fine" true (o.value = Some 11)
 
-(* Regression for the discarded-backtrace bug: the deadline poller
-   used to re-raise a worker failure with a bare [raise], which starts
-   a fresh backtrace at the poller — the frames of the code that
-   actually failed were lost.  The worker now captures its raw
-   backtrace and the poller re-raises with it intact, so the fault's
-   backtrace must name this file. *)
+let test_late_return () =
+  (* a body that never reaches a checkpoint cannot be stopped, but one
+     that returns after its deadline still fails as a timeout *)
+  let o =
+    Robust.Supervise.run ~timeout:0.05 ~label:"late" (fun () ->
+        Unix.sleepf 0.2;
+        5)
+  in
+  checkb "late return is a timeout" true
+    (kind_of o = Some Robust.Fault.Timeout);
+  checkb "no value" true (o.value = None)
+
+(* Regression for the domain-per-timeout supervisor: each timed body
+   ran on a spawned domain that was orphaned at the deadline, so a
+   burst of timeouts exhausted the runtime's domain slots — later
+   bodies failed [hard] with "failed to allocate domain", and so did
+   the next pool.  With a cooperative deadline every body runs on the
+   calling domain. *)
+let test_many_timeouts () =
+  let before = (Robust.Counters.snapshot ()).timeouts in
+  for i = 1 to 1000 do
+    let o = Robust.Supervise.run ~timeout:0.001 ~label:"burst" run_forever in
+    if kind_of o <> Some Robust.Fault.Timeout then
+      Alcotest.failf "timeout %d: %s" i
+        (match o.status with
+        | Robust.Supervise.Failed f -> f.message
+        | _ -> "completed")
+  done;
+  checki "one timeout counted per task" 1000
+    ((Robust.Counters.snapshot ()).timeouts - before);
+  let p = Par.Pool.create ~jobs:2 in
+  Fun.protect
+    ~finally:(fun () -> Par.Pool.shutdown p)
+    (fun () ->
+      checkb "a fresh pool still works" true
+        (Par.Pool.parallel_map p (fun x -> x * x) [| 1; 2; 3; 4 |]
+        = [| 1; 4; 9; 16 |]))
+
+let test_deadline_restored () =
+  let o = Robust.Supervise.run ~timeout:0.01 ~label:"runaway" run_forever in
+  checkb "timed out" true (kind_of o = Some Robust.Fault.Timeout);
+  checkb "deadline cleared" true (Sim.Machine.deadline () = infinity);
+  (* longer than several fuel slices, so a deadline left behind would
+     stop it at a checkpoint *)
+  let d = counter 200_000 in
+  let checksum () = (Sim.Machine.run_decoded d no_input).checksum in
+  let expected = checksum () in
+  let o = Robust.Supervise.run ~label:"after" checksum in
+  checkb "untimed run completes" true (o.value = Some expected);
+  let p = Par.Pool.create ~jobs:2 in
+  Fun.protect
+    ~finally:(fun () -> Par.Pool.shutdown p)
+    (fun () ->
+      let o =
+        Robust.Supervise.run ~label:"after-pool" (fun () ->
+            Par.Pool.parallel_map p (fun _ -> checksum ()) [| 1; 2; 3; 4 |])
+      in
+      checkb "pool workers complete" true
+        (o.value = Some (Array.make 4 expected)))
+
+(* Regression for the discarded-backtrace bug: the supervisor once
+   re-raised a body's failure from another domain with a bare
+   [raise], which started a fresh backtrace there — the frames of the
+   code that actually failed were lost.  The fault's backtrace must
+   name this file. *)
 let test_worker_backtrace_preserved () =
   Printexc.record_backtrace true;
   (* non-tail recursion so the frames survive into the backtrace *)
@@ -291,6 +374,12 @@ let () =
         [
           Alcotest.test_case "outcomes" `Quick test_supervise_outcomes;
           Alcotest.test_case "timeout" `Quick test_timeout;
+          Alcotest.test_case "late return is a timeout" `Quick
+            test_late_return;
+          Alcotest.test_case "1000 timeouts leave the pool usable" `Quick
+            test_many_timeouts;
+          Alcotest.test_case "deadline restored after a timeout" `Quick
+            test_deadline_restored;
           Alcotest.test_case "worker backtrace preserved" `Quick
             test_worker_backtrace_preserved;
         ] );
