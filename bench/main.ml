@@ -23,20 +23,23 @@ let wall f =
 
 (* ---- perf-smoke: a seconds-scale sanity gate for CI ----
 
-   Profiles one small workload at -j 1 and at the effective width, and
-   runs a capped subset enumeration the same way.  Fails when the
-   parallel path is meaningfully slower than sequential — a speedup
-   below 0.9x that also loses more than 50ms (so single-digit-ms
+   Profiles eight small workloads at -j 1 and at the effective width
+   (one pool task each, so the jN side fans out over up to eight
+   domains), and runs a capped subset enumeration the same way.  Fails
+   when the parallel path is meaningfully slower than sequential — a
+   speedup below 0.9x that also loses more than 50ms (so single-digit-ms
    timer noise on a 1-core host cannot flap the gate). *)
+
+let smoke_workloads =
+  [ "xlisp"; "gcc"; "compress"; "ghostview"; "rn"; "grep"; "matrix300"; "poly" ]
 
 let perf_smoke jn =
   Cache.Store.set_enabled false;
-  let smoke_wl = "matrix300" in
   let stages =
     [
-      ( "profile:" ^ smoke_wl,
+      ( Printf.sprintf "profile:%d-small" (List.length smoke_workloads),
         (fun () -> Experiments.Bench_run.reset ()),
-        fun () -> ignore (Experiments.Bench_run.load_named [ smoke_wl ]) );
+        fun () -> ignore (Experiments.Bench_run.load_named smoke_workloads) );
       ( "subset:20k",
         (fun () -> ignore (Experiments.Orderings.miss_matrix_cached ())),
         fun () -> ignore (Experiments.Orderings.subset_result ~max_trials:20_000 ())
@@ -117,15 +120,17 @@ let report ~gate ~ok checks =
    cache-entry corruption, a task exception inside the parallel
    prewarm, scheduling delays.  One cache corruption and one task raise
    are force-armed so the gate exercises both recovery paths on every
-   seed.  Passes only if the chaos run's tables are byte-identical to
-   the clean run's, no experiment failed permanently, and every
-   injected cache corruption was quarantined exactly once. *)
+   seed.  The registry is zeroed when injection is armed, so the
+   [inject.*], [cache.*] and [robust.*] counters printed afterwards
+   describe the chaos run alone.  Passes only if the chaos run's
+   tables are byte-identical to the clean run's, no experiment failed
+   permanently, and every injected cache corruption was quarantined
+   exactly once. *)
 
 let chaos_smoke seed =
   Printf.printf "==== chaos-smoke (seed %d) ====\n%!" seed;
   let arm () =
-    Cache.Store.reset_recovery ();
-    Robust.Counters.reset ();
+    Obs.Metrics.reset ();
     Robust.Inject.reset ();
     Robust.Inject.set_seed (Some seed);
     Robust.Inject.force Robust.Inject.Cache_read 1;
@@ -135,18 +140,18 @@ let chaos_smoke seed =
     quick_suite_twice ~name:"chaos" ~between:arm
   in
   Robust.Inject.set_seed None;
-  let injected = Robust.Inject.summary () in
-  let total_injected = List.fold_left (fun a (_, n) -> a + n) 0 injected in
-  let recovery = Cache.Store.recovery () in
-  Printf.printf "injected faults:%s\n"
-    (String.concat ""
-       (List.map (fun (s, n) -> Printf.sprintf " %s=%d" s n) injected));
-  Printf.printf "cache recovery: %d quarantined, %d write retries, %d write \
-                 failures, %d tmp cleaned\n"
-    recovery.corrupt_quarantined recovery.write_retries
-    recovery.write_failures recovery.tmp_cleaned;
-  Format.printf "supervisor: %a@." Robust.Counters.pp
-    (Robust.Counters.snapshot ());
+  let in_group prefixes (name, _) =
+    List.exists (fun prefix -> String.starts_with ~prefix name) prefixes
+  in
+  let counters =
+    List.filter (in_group [ "inject."; "cache."; "robust." ]) (Obs.Metrics.counters ())
+  in
+  List.iter (fun (name, n) -> Printf.printf "  %-26s %6d\n" name n) counters;
+  let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+  let total_injected =
+    List.fold_left (fun acc (_, n) -> acc + n) 0
+      (List.filter (in_group [ "inject." ]) counters)
+  in
   Format.printf "clean run:  %a" Experiments.Driver.pp_summary clean_sum;
   Format.printf "chaos run:  %a" Experiments.Driver.pp_summary chaos_sum;
   report ~gate:"chaos-smoke"
@@ -159,8 +164,7 @@ let chaos_smoke seed =
       (String.equal chaos_out clean_out, "chaos run tables differ from clean run");
       (clean_sum.failed = 0, "clean run had permanent failures");
       (chaos_sum.failed = 0, "chaos run had permanent failures");
-      ( recovery.corrupt_quarantined
-        = Robust.Inject.fired Robust.Inject.Cache_read,
+      ( count "cache.corrupt_quarantined" = count "inject.cache_read",
         "not every injected cache corruption was quarantined" );
     ]
 

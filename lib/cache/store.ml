@@ -22,9 +22,8 @@ let set_dir d = dir_ref := d
 
    All store accounting lives in the process-wide metrics registry
    (Obs.Metrics) under [cache.*]: traffic (hit / miss / corrupt /
-   write) and the recovery counters that bench JSON and the chaos
-   smoke gate read.  [recovery]/[reset_recovery] keep their historical
-   narrow interface on top. *)
+   write) and the recovery counters (corrupt_quarantined /
+   write_retries / write_failures / tmp_cleaned). *)
 
 let hits = Obs.Metrics.counter "cache.hit"
 let misses = Obs.Metrics.counter "cache.miss"
@@ -34,26 +33,6 @@ let corrupt_quarantined = Obs.Metrics.counter "cache.corrupt_quarantined"
 let write_retries = Obs.Metrics.counter "cache.write_retries"
 let write_failures = Obs.Metrics.counter "cache.write_failures"
 let tmp_cleaned = Obs.Metrics.counter "cache.tmp_cleaned"
-
-type recovery = {
-  corrupt_quarantined : int;
-  write_retries : int;
-  write_failures : int;
-  tmp_cleaned : int;
-}
-
-let recovery () =
-  {
-    corrupt_quarantined = Obs.Metrics.value corrupt_quarantined;
-    write_retries = Obs.Metrics.value write_retries;
-    write_failures = Obs.Metrics.value write_failures;
-    tmp_cleaned = Obs.Metrics.value tmp_cleaned;
-  }
-
-let reset_recovery () =
-  List.iter
-    (fun c -> Obs.Metrics.set c 0)
-    [ corrupt_quarantined; write_retries; write_failures; tmp_cleaned ]
 
 let bump = Obs.Metrics.incr ?by:None
 
@@ -128,12 +107,13 @@ let write_entry path payload =
     bump writes
   in
   (* A failed write only costs warmth, never correctness — so retry it
-     a few times with backoff and give up quietly.  The retry seed is
-     fixed: write paths must behave identically run to run. *)
+     a few times with backoff and give up quietly.  The jitter depends
+     on the entry path alone: write paths behave identically run to
+     run. *)
   try
     Robust.Backoff.retry ~retry_on:transient_write
       ~on_retry:(fun ~attempt:_ ~delay_s:_ _ -> bump write_retries)
-      ~seed:0 ~label:("cache-write:" ^ path) attempt
+      ~label:("cache-write:" ^ path) attempt
   with e when transient_write e ->
     bump write_failures;
     (* the rename never ran, so the orphaned tmp must not accumulate in

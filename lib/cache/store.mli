@@ -18,8 +18,16 @@
     quarantined (deleted and counted) so it cannot re-trip on every
     subsequent run, then recomputed and rewritten; failed writes are
     retried with backoff and, if still failing, abandoned — a cache
-    write only costs warmth, never correctness.  {!recovery} exposes
-    the counters. *)
+    write only costs warmth, never correctness.
+
+    Counters: the store counts its traffic and its recovery actions in
+    {!Obs.Metrics}, read like every other metric.  Traffic:
+    [cache.hit], [cache.miss], [cache.corrupt], [cache.write].
+    Recovery: [cache.corrupt_quarantined] (damaged entries detected,
+    deleted and recomputed), [cache.write_retries] (failed write
+    attempts that were retried), [cache.write_failures] (writes
+    abandoned after exhausting retries) and [cache.tmp_cleaned]
+    (orphaned [.tmp] files deleted after a permanent write failure). *)
 
 val enabled : unit -> bool
 (** Whether lookups and writes happen at all.  Starts as
@@ -48,22 +56,3 @@ val memo : version:string -> key:'k -> (unit -> 'v) -> 'v
 
 val clear : unit -> unit
 (** Delete every entry in {!dir}.  Missing directory is fine. *)
-
-(** {1 Recovery counters} *)
-
-type recovery = {
-  corrupt_quarantined : int;
-      (** damaged entries detected, deleted and recomputed *)
-  write_retries : int;  (** failed write attempts that were retried *)
-  write_failures : int;  (** writes abandoned after exhausting retries *)
-  tmp_cleaned : int;
-      (** orphaned [.tmp] files deleted after a permanent write failure *)
-}
-
-val recovery : unit -> recovery
-(** The store's recovery counters since the last {!reset_recovery}.
-    Stored in {!Obs.Metrics} under [cache.*], together with the
-    traffic counters [cache.hit] / [cache.miss] / [cache.corrupt] /
-    [cache.write]. *)
-
-val reset_recovery : unit -> unit

@@ -46,18 +46,14 @@ type stmt =
 type func = { arity : int; body : stmt list; ret : iexpr }
 type program = { helpers : func array; main_body : stmt list }
 
-(* ---- deterministic rng (splitmix-style) ---- *)
+(* ---- deterministic rng (splitmix: a Weyl sequence through
+   Sim.Dataset.mix) ---- *)
 
 type rng = { mutable s : int }
 
-let mix z =
-  let z = (z lxor (z lsr 30)) * 0x0F58476D1CE4E5B9 in
-  let z = (z lxor (z lsr 27)) * 0x14D049BB133111EB in
-  z lxor (z lsr 31)
-
 let next r =
   r.s <- r.s + 0x1E3779B97F4A7C15;
-  mix r.s
+  Sim.Dataset.mix r.s
 
 let rint r n = if n <= 0 then 0 else (next r land max_int) mod n
 
@@ -73,7 +69,8 @@ let wpick r l =
   in
   go 0 l
 
-let case_seed ~seed ~index = mix ((seed * 0x9E3779B9) lxor (index * 0x85EBCA6B))
+let case_seed ~seed ~index =
+  Sim.Dataset.mix ((seed * 0x9E3779B9) lxor (index * 0x85EBCA6B))
 
 (* ---- generation environment ---- *)
 
@@ -314,7 +311,7 @@ let base_env rng budget ~callable ~in_helper ~extra_ivars =
   }
 
 let generate ~seed ~size =
-  let rng = { s = mix (seed lxor 0x5DEECE66D) } in
+  let rng = { s = Sim.Dataset.mix (seed lxor 0x5DEECE66D) } in
   let nhelpers = if size < 8 then 0 else 1 + rint rng 3 in
   let arities = Array.init nhelpers (fun _ -> 1 + rint rng 3) in
   let callable_from i =

@@ -180,26 +180,6 @@ let run t n body =
     end
   end
 
-let parallel_for t ?chunk ?(min_per_domain = 0) n body =
-  if n > 0 then begin
-    (* fewer than two domains' worth of [min_per_domain] items do not
-       amortise the fork-join handoff *)
-    if n < 2 * min_per_domain then run_seq n body
-    else begin
-      let chunk =
-        match chunk with
-        | Some c -> max 1 c
-        | None -> max 1 (n / (t.size * 4)) (* ~4 tasks per domain *)
-      in
-      let nchunks = (n + chunk - 1) / chunk in
-      run t nchunks (fun c ->
-          let lo = c * chunk and hi = min n ((c + 1) * chunk) in
-          for i = lo to hi - 1 do
-            body i
-          done)
-    end
-  end
-
 let parallel_map t f a =
   let n = Array.length a in
   if n = 0 then [||]

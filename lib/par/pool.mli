@@ -53,21 +53,6 @@ val run : t -> int -> (int -> unit) -> unit
     backtrace.  The sequential fast path ([jobs = 1] or [n = 1])
     stops at the first exception; the pool path runs every index. *)
 
-val parallel_for : t -> ?chunk:int -> ?min_per_domain:int -> int ->
-  (int -> unit) -> unit
-(** [parallel_for t ?chunk n body] runs [body i] for [0 <= i < n],
-    grouping [chunk] consecutive indices into one task (default: a
-    chunk size aiming at ~4 tasks per domain).  Within a chunk, indices
-    run in ascending order on one domain.
-
-    [min_per_domain] is a sequential-fallback threshold: when
-    [n < 2 * min_per_domain] — too little work for even two domains —
-    the whole range runs as an ordinary loop on the calling domain,
-    with no pool handoff.  Results are identical either way.
-
-    Failures re-raise as {!Task_failed}; on the chunked parallel path
-    the reported index is the chunk's task index. *)
-
 val parallel_map : t -> ('a -> 'b) -> 'a array -> 'b array
 (** Like [Array.map], with elements processed across the pool.  The
     result preserves input order. *)

@@ -1,8 +1,8 @@
-(** Retry with seeded exponential backoff.
+(** Retry with jittered exponential backoff.
 
-    Delays are a pure function of (policy, seed, attempt) — the jitter
-    comes from {!Rng}, not the wall clock — so a retry schedule is
-    exactly reproducible under a fixed seed, which the determinism
+    Delays are a pure function of (policy, label, attempt) — the
+    jitter is drawn from {!Sim.Dataset.mix}, not the wall clock — so a
+    retry schedule is exactly reproducible, which the determinism
     tests assert. *)
 
 type policy = {
@@ -17,11 +17,12 @@ type policy = {
 val default_policy : policy
 (** 3 attempts, 2ms base, ×4 growth, 250ms cap, ±25% jitter. *)
 
-val delay : policy -> seed:int -> attempt:int -> float
-(** The (jittered) delay in seconds before retry [attempt] (1-based).
-    Never exceeds [max_delay_s]: the cap is re-applied after jitter. *)
+val delay : policy -> label:string -> attempt:int -> float
+(** The (jittered) delay in seconds before retry [attempt] (1-based)
+    of the retry loop named [label].  Never exceeds [max_delay_s]: the
+    cap is re-applied after jitter. *)
 
-val delays : policy -> seed:int -> float list
+val delays : policy -> label:string -> float list
 (** The full retry-delay schedule, [max_attempts - 1] entries. *)
 
 val retry :
@@ -29,15 +30,13 @@ val retry :
   ?sleep:(float -> unit) ->
   ?on_retry:(attempt:int -> delay_s:float -> exn -> unit) ->
   ?retry_on:(exn -> bool) ->
-  seed:int ->
   label:string ->
   (unit -> 'a) ->
   'a
-(** [retry ~seed ~label f] runs [f], retrying on failures selected by
+(** [retry ~label f] runs [f], retrying on failures selected by
     [retry_on] (default {!Fault.is_transient}) up to
-    [policy.max_attempts] total attempts, sleeping the seeded backoff
-    delay between attempts and bumping {!Counters.incr_retries} per
-    retry.  [label] is mixed into the seed so distinct call sites
-    jitter independently.  [sleep] (default [Unix.sleepf]) and
-    [on_retry] exist for tests.  The last failure propagates
-    unchanged. *)
+    [policy.max_attempts] total attempts, sleeping {!delay} between
+    attempts and bumping the [robust.retries] registry counter per
+    retry.  Distinct labels jitter independently.  [sleep] (default
+    [Unix.sleepf]) and [on_retry] exist for tests.  The last failure
+    propagates unchanged. *)

@@ -1,7 +1,6 @@
 (* The supervision counters are plain named entries in the process-wide
-   metrics registry (Obs.Metrics), so `bpredict stats` and the bench
-   JSON read them through the same interface as every other metric.
-   This module keeps the original narrow API on top. *)
+   metrics registry (Obs.Metrics): Backoff and Supervise bump them
+   there, and `bpredict stats` reads them like every other metric. *)
 
 type snapshot = {
   retries : int;
@@ -10,28 +9,12 @@ type snapshot = {
   task_failures : int;
 }
 
-let retries = Obs.Metrics.counter "robust.retries"
-let timeouts = Obs.Metrics.counter "robust.timeouts"
-let fuel_exhausted = Obs.Metrics.counter "robust.fuel_exhausted"
-let task_failures = Obs.Metrics.counter "robust.task_failures"
-let all = [ retries; timeouts; fuel_exhausted; task_failures ]
-
-let incr_retries () = Obs.Metrics.incr retries
-let incr_timeouts () = Obs.Metrics.incr timeouts
-let incr_fuel_exhausted () = Obs.Metrics.incr fuel_exhausted
-let incr_task_failures () = Obs.Metrics.incr task_failures
+let value name = Obs.Metrics.value (Obs.Metrics.counter name)
 
 let snapshot () =
   {
-    retries = Obs.Metrics.value retries;
-    timeouts = Obs.Metrics.value timeouts;
-    fuel_exhausted = Obs.Metrics.value fuel_exhausted;
-    task_failures = Obs.Metrics.value task_failures;
+    retries = value "robust.retries";
+    timeouts = value "robust.timeouts";
+    fuel_exhausted = value "robust.fuel_exhausted";
+    task_failures = value "robust.task_failures";
   }
-
-let reset () = List.iter (fun c -> Obs.Metrics.set c 0) all
-
-let pp ppf s =
-  Format.fprintf ppf
-    "retries %d, timeouts %d, fuel exhausted %d, task failures %d" s.retries
-    s.timeouts s.fuel_exhausted s.task_failures

@@ -1,13 +1,11 @@
-(** Process-wide robustness counters.
+(** The supervision layer's counters as one record.
 
-    The supervision layer counts every recovery action it takes —
-    retries performed, timeouts hit, fuel exhaustions, tasks that
-    failed permanently — so a run can report how degraded it was and
-    the bench JSON can track the numbers over time.  The counters are
-    registered in {!Obs.Metrics} under [robust.*] (atomic, safe to
-    bump from any domain); this module is the stable narrow API on
-    top.  (Cache-recovery counters live with the store itself:
-    {!Cache.Store.recovery}.) *)
+    Retries ({!Backoff.retry}), timeouts, fuel exhaustions and
+    permanent task failures ({!Supervise.run}) are counted in
+    {!Obs.Metrics} under [robust.retries], [robust.timeouts],
+    [robust.fuel_exhausted] and [robust.task_failures]; read them with
+    {!Obs.Metrics.counters} like every other metric.  [snapshot]
+    remains only for the benchmark harness, which reads the record. *)
 
 type snapshot = {
   retries : int;         (** backoff retries performed *)
@@ -16,11 +14,5 @@ type snapshot = {
   task_failures : int;   (** supervised tasks that failed permanently *)
 }
 
-val incr_retries : unit -> unit
-val incr_timeouts : unit -> unit
-val incr_fuel_exhausted : unit -> unit
-val incr_task_failures : unit -> unit
-
 val snapshot : unit -> snapshot
-val reset : unit -> unit
-val pp : Format.formatter -> snapshot -> unit
+(** The current [robust.*] registry values. *)

@@ -2,10 +2,12 @@
 
    Each injection site keeps a per-site counter of how many times it
    has been consulted; whether a given consultation fires is a pure
-   function of (seed, site, consultation index), so a run with a fixed
-   seed injects exactly the same faults every time.  Sites can also be
-   force-armed ([force]) so tests and the chaos smoke gate are
-   guaranteed coverage regardless of seed luck. *)
+   function of (seed, site, consultation index), drawn from
+   Sim.Dataset.mix, so a run with a fixed seed injects exactly the same
+   faults every time.  Sites can also be force-armed ([force]) so tests
+   and the chaos smoke gate are guaranteed coverage regardless of seed
+   luck.  Fired faults are counted in the metrics registry under
+   [inject.<site>]. *)
 
 type site = Cache_read | Cache_write | Task | Delay
 
@@ -17,12 +19,6 @@ let site_index = function
   | Task -> 2
   | Delay -> 3
 
-let site_name = function
-  | Cache_read -> "cache-read"
-  | Cache_write -> "cache-write"
-  | Task -> "task"
-  | Delay -> "delay"
-
 (* How often a site fires under hash-based injection: once every
    [period] consultations on average.  Task raises are rare so the
    suite still mostly succeeds; cache corruption is common so the
@@ -33,10 +29,15 @@ let period = function
   | Task -> 53
   | Delay -> 6
 
+(* indexed by [site_index] *)
+let fired_counters =
+  Array.map
+    (fun name -> Obs.Metrics.counter ("inject." ^ name))
+    [| "cache_read"; "cache_write"; "task"; "delay" |]
+
 let mutex = Mutex.create ()
 let seed = ref None
 let consulted = Array.make 4 0
-let fired_counts = Array.make 4 0
 let forced = Array.make 4 0
 
 let () =
@@ -45,19 +46,18 @@ let () =
   | None -> ()
 
 let set_seed s = Mutex.protect mutex (fun () -> seed := s)
-let enabled () = Mutex.protect mutex (fun () -> !seed <> None || Array.exists (fun n -> n > 0) forced)
 
 let force site n =
   Mutex.protect mutex (fun () ->
       let i = site_index site in
       forced.(i) <- forced.(i) + n)
 
-let fired site = Mutex.protect mutex (fun () -> fired_counts.(site_index site))
+let fired site = Obs.Metrics.value fired_counters.(site_index site)
 
 let reset () =
   Mutex.protect mutex (fun () ->
       Array.fill consulted 0 4 0;
-      Array.fill fired_counts 0 4 0;
+      Array.iter (fun c -> Obs.Metrics.set c 0) fired_counters;
       Array.fill forced 0 4 0)
 
 (* Consult a site: returns true when a fault should be injected now. *)
@@ -73,9 +73,12 @@ let decide site =
         else
           match !seed with
           | None -> false
-          | Some s -> Rng.bits ~seed:s ~stream:(site_index site) ~index:n mod period site = 0
+          | Some s ->
+            Sim.Dataset.mix ((s * 0x9E3779B9) lxor (i * 0x85EBCA6B) + n)
+            mod period site
+            = 0
       in
-      if hit then fired_counts.(i) <- fired_counts.(i) + 1;
+      if hit then Obs.Metrics.incr fired_counters.(i);
       hit)
 
 (* Corrupt the cache entry at [path] on disk (truncate and garble) so
@@ -101,8 +104,3 @@ let raise_in_task ~label =
     raise (Chaos (Printf.sprintf "injected task failure in %s" label))
 
 let delay ~label:_ = if decide Delay then Unix.sleepf 0.002
-
-let summary () =
-  [ Cache_read; Cache_write; Task; Delay ]
-  |> List.map (fun s ->
-         (site_name s, Mutex.protect mutex (fun () -> fired_counts.(site_index s))))

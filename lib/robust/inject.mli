@@ -3,16 +3,18 @@
     When armed (via [BALLARUS_CHAOS=<seed>], {!set_seed}, or
     {!force}), the hooks below inject faults — corrupt cache entries,
     failed writes, exceptions inside pool tasks, small delays — at
-    points decided purely by [(seed, site, consultation index)], so
-    the same seed reproduces the same fault schedule.  Disarmed hooks
-    are near-free, so they stay compiled into the production paths. *)
+    points decided purely by [(seed, site, consultation index)]
+    through {!Sim.Dataset.mix}, so the same seed reproduces the same
+    fault schedule.  Every fired fault bumps its site's registry
+    counter: [inject.cache_read], [inject.cache_write], [inject.task]
+    or [inject.delay] in {!Obs.Metrics}.  Disarmed hooks are
+    near-free, so they stay compiled into the production paths. *)
 
 type site = Cache_read | Cache_write | Task | Delay
 
 exception Chaos of string
 (** The exception raised by {!raise_in_task}; classified Transient. *)
 
-val enabled : unit -> bool
 val set_seed : int option -> unit
 
 val force : site -> int -> unit
@@ -20,11 +22,13 @@ val force : site -> int -> unit
     unconditionally — guarantees coverage regardless of seed luck. *)
 
 val fired : site -> int
-(** How many faults this site has injected since the last {!reset}. *)
+(** How many faults this site has injected since the last {!reset}:
+    the value of its [inject.*] registry counter. *)
 
 val reset : unit -> unit
-(** Clear all consultation counters, fired counts, and forced arms
-    (the seed is kept; use {!set_seed} to clear it). *)
+(** Clear all consultation counters and forced arms, and zero the
+    [inject.*] registry counters (the seed is kept; use {!set_seed} to
+    clear it). *)
 
 val corrupt_entry : string -> bool
 (** Maybe corrupt the cache entry file at this path in place; returns
@@ -39,6 +43,3 @@ val raise_in_task : label:string -> unit
 
 val delay : label:string -> unit
 (** Maybe sleep ~2ms, perturbing scheduling without changing results. *)
-
-val summary : unit -> (string * int) list
-(** [(site name, fired count)] for every site. *)

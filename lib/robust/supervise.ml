@@ -21,6 +21,10 @@ let within ~seconds f =
       Sim.Machine.check_deadline ();
       v)
 
+let task_failures = Obs.Metrics.counter "robust.task_failures"
+let fuel_exhausted = Obs.Metrics.counter "robust.fuel_exhausted"
+let timeouts = Obs.Metrics.counter "robust.timeouts"
+
 let run ?timeout ?sleep ~label f =
   Obs.span ~name:"supervise" ~attrs:[ ("label", label) ] @@ fun () ->
   let attempts = ref 0 in
@@ -32,15 +36,15 @@ let run ?timeout ?sleep ~label f =
   in
   (* Only transient failures are retried; a task that missed its
      deadline once would almost surely miss it again. *)
-  match Backoff.retry ?sleep ~seed:0 ~label body with
+  match Backoff.retry ?sleep ~label body with
   | v ->
     let status = if !attempts > 1 then Recovered (!attempts - 1) else Completed in
     { label; attempts = !attempts; value = Some v; status }
   | exception e ->
-    Counters.incr_task_failures ();
+    Obs.Metrics.incr task_failures;
     (match Fault.kind_of_exn e with
-    | Fuel_exhausted -> Counters.incr_fuel_exhausted ()
-    | Timeout -> Counters.incr_timeouts ()
+    | Fuel_exhausted -> Obs.Metrics.incr fuel_exhausted
+    | Timeout -> Obs.Metrics.incr timeouts
     | _ -> ());
     let backtrace =
       (* Prefer the backtrace the pool captured where the task raised,

@@ -43,6 +43,6 @@ val run :
     neither stores anything when [compute] raises.
 
     Transient failures retry per {!Backoff.default_policy}, with
-    jitter seeded by [label] alone.  [sleep] (default [Unix.sleepf])
-    exists for tests.  Counters are bumped for retries, timeouts, fuel
-    exhaustion, and permanent failures. *)
+    jitter drawn from [label].  [sleep] (default [Unix.sleepf]) exists
+    for tests.  The [robust.*] registry counters are bumped for
+    retries, timeouts, fuel exhaustion, and permanent failures. *)

@@ -15,8 +15,10 @@ val make : ?floats:float array -> name:string -> int array -> t
 
 val mix : int -> int
 (** The splitmix64 finaliser: a bijective avalanche of the bits of its
-    argument, so nearby inputs give unrelated outputs.  {!of_seed} and
-    the branch database's random-predictor coin draw from it. *)
+    argument, so nearby inputs give unrelated outputs.  The
+    repository's one mixer: {!of_seed}, the branch database's
+    random-predictor coin, fault injection, backoff jitter and the
+    fuzz generator all draw from it. *)
 
 val of_seed : name:string -> size:int -> seed:int -> t
 (** Reproducible pseudo-random dataset: [size] ints in [0, 2^20) and

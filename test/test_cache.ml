@@ -6,6 +6,9 @@
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 
+(* The store counts its recovery actions in the metrics registry. *)
+let counter name = Obs.Metrics.value (Obs.Metrics.counter name)
+
 let with_temp_store f =
   let dir =
     Filename.concat
@@ -72,7 +75,7 @@ let corrupt path garbage =
 
 let test_corrupt_entry_recomputed () =
   with_temp_store (fun dir ->
-      Cache.Store.reset_recovery ();
+      Obs.Metrics.reset ();
       let calls = ref 0 in
       let compute () =
         incr calls;
@@ -90,26 +93,26 @@ let test_corrupt_entry_recomputed () =
       Alcotest.(check string) "recomputed value" "payload" v;
       checki "recompute happened" 2 !calls;
       checki "quarantine counted" 1
-        (Cache.Store.recovery ()).corrupt_quarantined;
+        (counter "cache.corrupt_quarantined");
       (* truncated entry *)
       corrupt path "ballarus-c";
       let v = Cache.Store.memo ~version:"t/1" ~key:0 compute in
       Alcotest.(check string) "recomputed after truncation" "payload" v;
       checki "recompute happened again" 3 !calls;
       checki "second quarantine counted" 2
-        (Cache.Store.recovery ()).corrupt_quarantined;
+        (counter "cache.corrupt_quarantined");
       (* the rewrite must have produced a readable entry again *)
       let v = Cache.Store.memo ~version:"t/1" ~key:0 compute in
       Alcotest.(check string) "hit after rewrite" "payload" v;
       checki "no further compute" 3 !calls;
       checki "no further quarantine" 2
-        (Cache.Store.recovery ()).corrupt_quarantined)
+        (counter "cache.corrupt_quarantined"))
 
 let test_quarantine_deletes_bad_entry () =
   (* a corrupt entry must be removed from disk at detection time, so
      it cannot re-trip a later run that never recomputes this key *)
   with_temp_store (fun dir ->
-      Cache.Store.reset_recovery ();
+      Obs.Metrics.reset ();
       let _ = Cache.Store.memo ~version:"t/1" ~key:1 (fun () -> "x") in
       let path =
         match entry_files dir with [ p ] -> p | _ -> Alcotest.fail "one entry"
@@ -125,14 +128,14 @@ let test_quarantine_deletes_bad_entry () =
       in
       Alcotest.(check string) "recomputed" "y" v;
       checkb "bad entry deleted before recompute" true !gone_during_recompute;
-      checki "one quarantine" 1 (Cache.Store.recovery ()).corrupt_quarantined)
+      checki "one quarantine" 1 (counter "cache.corrupt_quarantined"))
 
 let test_injected_corruption_recovered () =
   (* the chaos hook corrupts a real on-disk entry; the store must
      detect, quarantine and recompute, and the counters must agree
      with the injector's *)
   with_temp_store (fun _dir ->
-      Cache.Store.reset_recovery ();
+      Obs.Metrics.reset ();
       Robust.Inject.reset ();
       let calls = ref 0 in
       let compute () =
@@ -146,19 +149,19 @@ let test_injected_corruption_recovered () =
       checki "recomputed" 2 !calls;
       checki "injector fired" 1 (Robust.Inject.fired Robust.Inject.Cache_read);
       checki "quarantined exactly the injected fault" 1
-        (Cache.Store.recovery ()).corrupt_quarantined;
+        (counter "cache.corrupt_quarantined");
       Robust.Inject.reset ())
 
 let test_injected_write_failure_retried () =
   (* a failed write is retried with backoff; one injected failure costs
      a retry, not the entry *)
   with_temp_store (fun dir ->
-      Cache.Store.reset_recovery ();
+      Obs.Metrics.reset ();
       Robust.Inject.reset ();
       Robust.Inject.force Robust.Inject.Cache_write 1;
       let _ = Cache.Store.memo ~version:"t/1" ~key:3 (fun () -> "w") in
-      checki "write retried once" 1 (Cache.Store.recovery ()).write_retries;
-      checki "no write abandoned" 0 (Cache.Store.recovery ()).write_failures;
+      checki "write retried once" 1 (counter "cache.write_retries");
+      checki "no write abandoned" 0 (counter "cache.write_failures");
       checki "entry still landed" 1 (List.length (entry_files dir));
       (* and it reads back *)
       let calls = ref 0 in
@@ -178,16 +181,15 @@ let test_injected_write_failure_retried () =
    cleanup. *)
 let test_permanent_write_failure_cleans_tmp () =
   with_temp_store (fun dir ->
-      Cache.Store.reset_recovery ();
+      Obs.Metrics.reset ();
       Robust.Inject.reset ();
       (* fail all three attempts of the write backoff loop *)
       Robust.Inject.force Robust.Inject.Cache_write 3;
       let v = Cache.Store.memo ~version:"t/1" ~key:4 (fun () -> "lost") in
       Alcotest.(check string) "value still returned" "lost" v;
-      let rec_ = Cache.Store.recovery () in
-      checki "two retries then surrender" 2 rec_.write_retries;
-      checki "one abandoned write" 1 rec_.write_failures;
-      checki "orphaned tmp cleaned" 1 rec_.tmp_cleaned;
+      checki "two retries then surrender" 2 (counter "cache.write_retries");
+      checki "one abandoned write" 1 (counter "cache.write_failures");
+      checki "orphaned tmp cleaned" 1 (counter "cache.tmp_cleaned");
       checki "no entry landed" 0 (List.length (entry_files dir));
       let tmp_files =
         Sys.readdir dir |> Array.to_list

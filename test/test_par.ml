@@ -43,17 +43,6 @@ let test_parallel_map_matches_sequential () =
             = Array.to_list expected)))
     widths
 
-let test_parallel_for_chunked () =
-  List.iter
-    (fun jobs ->
-      with_pool jobs (fun p ->
-          let n = 1000 in
-          let sum = Atomic.make 0 in
-          Par.Pool.parallel_for p ~chunk:17 n (fun i ->
-              ignore (Atomic.fetch_and_add sum i));
-          checki "sum of 0..n-1" (n * (n - 1) / 2) (Atomic.get sum)))
-    widths
-
 let test_reduce_merges_in_chunk_order () =
   (* [map] returns its chunk bounds; a non-commutative merge
      (concatenation) must still see chunks in ascending order at every
@@ -135,16 +124,19 @@ let test_nested_data_parallel_sections () =
 
 let test_fewer_tasks_than_jobs () =
   (* a wide pool fed less work than it has domains: every index still
-     runs exactly once, chunking degenerates to a single chunk, and
+     runs exactly once, a single task runs on the calling domain, and
      reduce still merges in ascending chunk order *)
   with_pool 8 (fun p ->
       let hits = Array.make 3 0 in
       Par.Pool.run p 3 (fun i -> hits.(i) <- hits.(i) + 1);
       Array.iter (checki "exactly once" 1) hits;
       let sum = Atomic.make 0 in
-      Par.Pool.parallel_for p ~chunk:100 3 (fun i ->
-          ignore (Atomic.fetch_and_add sum (i + 1)));
-      checki "one chunk covers all" 6 (Atomic.get sum);
+      Par.Pool.run p 3 (fun i -> ignore (Atomic.fetch_and_add sum (i + 1)));
+      checki "three tasks cover all" 6 (Atomic.get sum);
+      let self () = (Domain.self () :> int) in
+      let seen = ref (-1) in
+      Par.Pool.run p 1 (fun _ -> seen := self ());
+      checki "single task ran on the caller" (self ()) !seen;
       let chunks =
         Par.Pool.reduce p ~n:3 ~chunk:64
           ~map:(fun lo hi -> [ (lo, hi) ])
@@ -159,22 +151,6 @@ let test_fewer_tasks_than_jobs () =
       in
       checkb "ragged tail, ascending" true
         (chunks = [ (0, 3); (3, 6); (6, 9); (9, 10) ]))
-
-let test_min_per_domain_threshold () =
-  (* below the threshold [parallel_for] must not hand work to any other
-     domain: every body runs on the calling domain *)
-  let self () = (Domain.self () :> int) in
-  with_pool 4 (fun p ->
-      let caller = self () in
-      let seen = Array.make 9 (-1) in
-      Par.Pool.parallel_for p ~min_per_domain:5 9 (fun i -> seen.(i) <- self ());
-      Array.iter (checki "for ran on the caller" caller) seen;
-      (* at or above 2 x min_per_domain the parallel path re-engages
-         and still produces identical results *)
-      let out = Array.make 64 0 in
-      Par.Pool.parallel_for p ~min_per_domain:5 64 (fun i -> out.(i) <- i * 3);
-      checkb "above threshold identical" true
-        (out = Array.init 64 (fun i -> i * 3)))
 
 (* Regression for the lingering-job bug: after the join, the pool used
    to keep its last [job] record (and therefore the job's body closure,
@@ -213,7 +189,6 @@ let () =
             test_run_covers_every_index;
           Alcotest.test_case "map matches sequential" `Quick
             test_parallel_map_matches_sequential;
-          Alcotest.test_case "chunked for" `Quick test_parallel_for_chunked;
           Alcotest.test_case "reduce chunk order" `Quick
             test_reduce_merges_in_chunk_order;
           Alcotest.test_case "exceptions" `Quick test_exception_propagates;
@@ -223,8 +198,6 @@ let () =
             test_nested_data_parallel_sections;
           Alcotest.test_case "fewer tasks than jobs" `Quick
             test_fewer_tasks_than_jobs;
-          Alcotest.test_case "min_per_domain threshold" `Quick
-            test_min_per_domain_threshold;
           Alcotest.test_case "job dropped after join" `Quick
             test_job_dropped_after_join;
           Alcotest.test_case "default pool" `Quick test_default_pool_set_jobs;

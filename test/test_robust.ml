@@ -1,7 +1,8 @@
-(* Tests for the supervision layer: the fault taxonomy, seeded backoff
+(* Tests for the supervision layer: the fault taxonomy, backoff
    determinism, supervised task outcomes, cooperative wall-clock
-   timeouts, deterministic fault injection, and graceful suite
-   degradation when a runaway program exhausts its fuel. *)
+   timeouts, deterministic fault injection, the registry counters the
+   layer reports, and graceful suite degradation when a runaway program
+   exhausts its fuel. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -37,16 +38,16 @@ let test_taxonomy () =
 
 let test_backoff_determinism () =
   let p = Robust.Backoff.default_policy in
-  let d1 = Robust.Backoff.delays p ~seed:42 in
-  let d2 = Robust.Backoff.delays p ~seed:42 in
-  let d3 = Robust.Backoff.delays p ~seed:43 in
+  let d1 = Robust.Backoff.delays p ~label:"spy" in
+  let d2 = Robust.Backoff.delays p ~label:"spy" in
+  let d3 = Robust.Backoff.delays p ~label:"other" in
   checki "schedule length" (p.max_attempts - 1) (List.length d1);
-  checkb "same seed, same schedule" true (d1 = d2);
-  checkb "different seed, different schedule" true (d1 <> d3);
+  checkb "same label, same schedule" true (d1 = d2);
+  checkb "different label, different schedule" true (d1 <> d3);
   List.iter
     (fun d -> checkb "delay within the hard cap" true (d > 0. && d <= p.max_delay_s))
     d1;
-  (* retry sleeps exactly the seeded schedule, reproducibly *)
+  (* retry sleeps exactly the label's schedule, reproducibly *)
   let run_spy () =
     let slept = ref [] in
     let attempts = ref 0 in
@@ -54,7 +55,7 @@ let test_backoff_determinism () =
        Robust.Backoff.retry
          ~sleep:(fun d -> slept := d :: !slept)
          ~retry_on:(fun _ -> true)
-         ~seed:42 ~label:"spy"
+         ~label:"spy"
          (fun () ->
            incr attempts;
            raise Boom)
@@ -65,23 +66,24 @@ let test_backoff_determinism () =
   let a2, s2 = run_spy () in
   checki "all attempts used" p.max_attempts a1;
   checki "slept between attempts" (p.max_attempts - 1) (List.length s1);
-  checkb "sleep schedule reproducible" true (a1 = a2 && s1 = s2)
+  checkb "sleep schedule reproducible" true (a1 = a2 && s1 = s2);
+  checkb "sleeps follow the label's schedule" true (s1 = d1)
 
 (* Regression for the jitter-after-cap bug: the jitter factor used to
    be applied to the already-capped delay, so a +jitter draw could
    stretch the sleep up to 1.5x past [max_delay_s].  The cap is now
-   re-applied after jitter; no (policy, seed, attempt) combination may
+   re-applied after jitter; no (policy, label, attempt) combination may
    exceed it. *)
 let prop_backoff_cap =
   QCheck.Test.make ~name:"delay never exceeds max_delay_s" ~count:1000
     QCheck.(
       make
         Gen.(
-          quad (int_bound 10_000) (int_range 1 12) (float_range 0.0 2.0)
-            (float_range 0.001 0.5)))
-    (fun (seed, attempt, jitter, max_delay_s) ->
+          quad (string_size (int_bound 12)) (int_range 1 12)
+            (float_range 0.0 2.0) (float_range 0.001 0.5)))
+    (fun (label, attempt, jitter, max_delay_s) ->
       let p = { Robust.Backoff.default_policy with jitter; max_delay_s } in
-      let d = Robust.Backoff.delay p ~seed ~attempt in
+      let d = Robust.Backoff.delay p ~label ~attempt in
       d >= 0. && d <= p.max_delay_s)
 
 let test_retry_only_transient () =
@@ -90,7 +92,7 @@ let test_retry_only_transient () =
   (try
      Robust.Backoff.retry
        ~sleep:(fun _ -> ())
-       ~seed:1 ~label:"hard"
+       ~label:"hard"
        (fun () ->
          incr attempts;
          raise Boom)
@@ -100,7 +102,7 @@ let test_retry_only_transient () =
   let v =
     Robust.Backoff.retry
       ~sleep:(fun _ -> ())
-      ~seed:1 ~label:"flaky"
+      ~label:"flaky"
       (fun () ->
         incr attempts;
         if !attempts < 3 then raise (Robust.Inject.Chaos "flake") else 99)
@@ -306,6 +308,64 @@ let test_inject_determinism () =
   checki "fired counter" 2 (Robust.Inject.fired Robust.Inject.Task);
   Robust.Inject.reset ()
 
+(* The robustness layer reports itself through the metrics registry
+   alone: one forced task fault and one forced cache corruption under
+   [Supervise.run] must show up as [inject.*], [cache.*] and [robust.*]
+   counters, and [Counters.snapshot] must agree with the registry. *)
+let test_registry_reports_robustness () =
+  let dir =
+    Filename.concat
+      (Filename.get_temp_dir_name ())
+      (Printf.sprintf "ballarus_registry_test_%d" (Unix.getpid ()))
+  in
+  let old_dir = Cache.Store.dir () and old_enabled = Cache.Store.enabled () in
+  Cache.Store.set_dir dir;
+  Cache.Store.set_enabled true;
+  Fun.protect
+    ~finally:(fun () ->
+      Robust.Inject.reset ();
+      Cache.Store.clear ();
+      (try Unix.rmdir dir with Unix.Unix_error _ | Sys_error _ -> ());
+      Cache.Store.set_dir old_dir;
+      Cache.Store.set_enabled old_enabled)
+    (fun () ->
+      Obs.Metrics.reset ();
+      Robust.Inject.reset ();
+      let compute () = "v" in
+      ignore (Cache.Store.memo ~version:"t/registry" ~key:0 compute : string);
+      Robust.Inject.force Robust.Inject.Cache_read 1;
+      Robust.Inject.force Robust.Inject.Task 1;
+      let o =
+        Robust.Supervise.run
+          ~sleep:(fun _ -> ())
+          ~label:"registry"
+          (fun () ->
+            Robust.Inject.raise_in_task ~label:"registry";
+            Cache.Store.memo ~version:"t/registry" ~key:0 compute)
+      in
+      checkb "recovered after one retry" true
+        (o.status = Robust.Supervise.Recovered 1);
+      checkb "value through" true (o.value = Some "v");
+      let counters = Obs.Metrics.counters () in
+      let count name = Option.value ~default:0 (List.assoc_opt name counters) in
+      checki "inject.cache_read" 1 (count "inject.cache_read");
+      checki "inject.task" 1 (count "inject.task");
+      checki "cache.corrupt_quarantined" 1 (count "cache.corrupt_quarantined");
+      checkb "robust.retries >= 1" true (count "robust.retries" >= 1);
+      checki "fired reads the registry" 1
+        (Robust.Inject.fired Robust.Inject.Task);
+      checkb "snapshot equals the robust.* registry values" true
+        (Robust.Counters.snapshot ()
+        = {
+            Robust.Counters.retries = count "robust.retries";
+            timeouts = count "robust.timeouts";
+            fuel_exhausted = count "robust.fuel_exhausted";
+            task_failures = count "robust.task_failures";
+          });
+      Robust.Inject.reset ();
+      checki "reset zeroes inject.task" 0
+        (List.assoc "inject.task" (Obs.Metrics.counters ())))
+
 let test_fuel_degradation () =
   (* the acceptance scenario: a deliberately non-terminating MiniC
      program fails with Fuel_exhausted — it does not hang — and the
@@ -387,6 +447,8 @@ let () =
         [
           Alcotest.test_case "determinism and force" `Quick
             test_inject_determinism;
+          Alcotest.test_case "registry reports the robustness layer" `Quick
+            test_registry_reports_robustness;
         ] );
       ( "degradation",
         [
