@@ -9,9 +9,9 @@
                          tables are byte-identical and every injected
                          cache fault was recovered
      obs-smoke           run the quick suite untraced and traced,
-                         require byte-identical tables, and validate the
+                         require byte-identical tables, validate the
                          emitted Chrome trace JSON covers all four
-                         pipeline stages
+                         pipeline stages, and check the span statistics
 
    "-j N" anywhere on the command line sets the domain count (default:
    BALLARUS_JOBS or the machine's recommended domain count). *)
@@ -175,7 +175,10 @@ let chaos_smoke seed =
    (1) the traced run's tables are byte-identical to the untraced
    run's — instrumentation must never leak into results; (2) the
    emitted file parses as JSON and its traceEvents cover all four
-   pipeline stages and the experiments; and (3) a disabled Obs.span
+   pipeline stages and the experiments; (3) the span statistics count
+   one experiment span per experiment and, for each of those five
+   names, satisfy p50 <= p95 <= max with max the longest recorded
+   event; and (4) a disabled Obs.span
    really is a no-op branch (a generous absolute bound on a tight loop
    of disabled spans, so a pessimised fast path fails loudly without
    making the gate timing-flaky). *)
@@ -191,7 +194,9 @@ let obs_smoke () =
   in
   Obs.disable ();
   Obs.write_trace trace_path;
-  let nevents = List.length (Obs.events ()) in
+  let events = Obs.events () in
+  let nevents = List.length events in
+  let stats = Obs.span_stats () in
   let trace_names =
     let ic = open_in_bin trace_path in
     let s = really_input_string ic (in_channel_length ic) in
@@ -223,9 +228,33 @@ let obs_smoke () =
     (t_disabled /. float_of_int niter *. 1e9);
   Format.printf "untraced run: %a" Experiments.Driver.pp_summary plain_sum;
   Format.printf "traced run:   %a" Experiments.Driver.pp_summary traced_sum;
+  let required =
+    [ "stage.load_all"; "stage.miss_matrix"; "stage.subset"; "stage.traces";
+      "experiment" ]
+  in
   let has_span name =
     (List.mem name trace_names, Printf.sprintf "trace JSON has no %s span" name)
   in
+  let longest name =
+    List.fold_left
+      (fun m (e : Obs.event) ->
+        if String.equal e.name name then Float.max m e.dur_us else m)
+      0. events
+  in
+  let ordered name =
+    ( (match List.assoc_opt name stats with
+      | Some s -> s.p50 <= s.p95 && s.p95 <= s.max && s.max = longest name
+      | None -> false),
+      Printf.sprintf "%s statistics not p50 <= p95 <= max = longest event" name
+    )
+  in
+  let nexperiments = List.length Experiments.Driver.all in
+  let experiment_count =
+    Option.fold ~none:0 ~some:(fun (s : Obs.stats) -> s.count)
+      (List.assoc_opt "experiment" stats)
+  in
+  Printf.printf "span statistics: %d names, experiment count %d\n"
+    (List.length stats) experiment_count;
   report ~gate:"obs-smoke"
     ~ok:
       (Printf.sprintf "obs-smoke OK: byte-identical tables, %d spans exported"
@@ -237,10 +266,12 @@ let obs_smoke () =
        (traced_sum.failed = 0, "traced run had permanent failures");
        (nevents > 0, "no spans were recorded");
        (t_disabled < 2.0, "disabled spans cost far more than a branch");
+       ( experiment_count = nexperiments,
+         Printf.sprintf "span statistics count %d experiments, expected %d"
+           experiment_count nexperiments );
      ]
-    @ List.map has_span
-        [ "stage.load_all"; "stage.miss_matrix"; "stage.subset";
-          "stage.traces"; "experiment" ])
+    @ List.map has_span required
+    @ List.map ordered required)
 
 (* Strip "-j N" out of the argument list, configuring the pool. *)
 let rec parse_flags acc = function

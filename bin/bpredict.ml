@@ -343,7 +343,7 @@ let stats_cmd =
         apply_jobs jobs;
         apply_no_cache no_cache;
         apply_trace trace;
-        (* span histograms only fill while recording is on *)
+        (* span statistics come from the recorded events *)
         Obs.enable ();
         let quick = not full in
         let null = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
@@ -357,13 +357,13 @@ let stats_cmd =
            | None ->
              Printf.eprintf "error: unknown experiment %s\n" id;
              exit 1);
-        Obs.Metrics.dump Format.std_formatter)
+        Obs.dump Format.std_formatter)
   in
   Cmd.v
     (Cmd.info "stats"
        ~doc:"Run experiments under instrumentation and dump the metrics \
-             registry (counters, span-duration histograms); tables \
-             are discarded")
+             counters and per-span duration statistics (count, sum, \
+             p50, p95, max); tables are discarded")
     Term.(const run $ id_arg $ full_arg $ jobs_arg $ no_cache_arg $ trace_arg)
 
 (* ---- list ---- *)

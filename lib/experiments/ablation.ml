@@ -6,39 +6,24 @@ let btfn ppf =
     "Ablation: natural-loop classification vs backward-taken/forward-@.";
   Format.fprintf ppf "not-taken (BTFN), all branches@.@.";
   let order = Predict.Combined.paper_order in
-  let rows =
+  let rates =
     List.map
       (fun (r : Bench_run.t) ->
         let branches = Array.to_list r.db.branches in
         let btfn_pred (b : D.branch) = b.D.backward in
-        [
-          r.wl.name;
-          Texttab.pct (M.miss_rate btfn_pred branches);
-          Texttab.pct (M.miss_rate (Predict.Combined.predict order) branches);
-          Texttab.pct (M.perfect_rate branches);
-        ])
+        ( r.wl.name,
+          [
+            M.miss_rate btfn_pred branches;
+            M.miss_rate (Predict.Combined.predict order) branches;
+            M.perfect_rate branches;
+          ] ))
       (Bench_run.load_all ())
   in
-  let col i =
-    Stats.mean
-      (List.map
-         (fun row ->
-           match List.nth_opt row i with
-           | Some s when s <> "-" -> float_of_string s /. 100.
-           | _ -> Float.nan)
-         rows)
-  in
+  let col i = Stats.mean (List.map (fun (_, xs) -> List.nth xs i) rates) in
   Texttab.render ppf
     ~header:[ "Program"; "BTFN"; "Loop+Heuristics"; "Perfect" ]
-    (rows
-    @ [
-        [
-          "MEAN";
-          Texttab.pct (col 1);
-          Texttab.pct (col 2);
-          Texttab.pct (col 3);
-        ];
-      ])
+    (List.map (fun (name, xs) -> name :: List.map Texttab.pct xs) rates
+    @ [ "MEAN" :: List.init 3 (fun i -> Texttab.pct (col i)) ])
 
 let eval_order_avg order =
   let m, rs = Orderings.miss_matrix_cached () in

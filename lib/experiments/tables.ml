@@ -125,21 +125,19 @@ let table3 ppf =
     let nl = nl_of r in
     let partial (b : D.branch) = b.D.heur.(Predict.Heuristic.to_int h) in
     let cov = M.coverage partial nl in
-    if Float.is_nan cov || cov < 0.01 then ("", Float.nan, Float.nan)
-    else begin
-      let covered = M.covered partial nl in
-      ( Texttab.pct cov,
+    if Float.is_nan cov || cov < 0.01 then (Float.nan, Float.nan, Float.nan)
+    else
+      ( cov,
         M.miss_rate_covered partial nl,
-        M.perfect_rate covered )
-    end
+        M.perfect_rate (M.covered partial nl) )
   in
   let render_row (r : Bench_run.t) =
     r.wl.name :: Texttab.pct (pct_non_loop r)
     :: List.concat_map
          (fun h ->
            let cov, miss, prf = cell r h in
-           if String.equal cov "" then [ ""; "" ]
-           else [ cov; Texttab.ratio miss prf ])
+           if Float.is_nan cov then [ ""; "" ]
+           else [ Texttab.pct cov; Texttab.ratio miss prf ])
          heuristics
   in
   let header =
@@ -149,22 +147,17 @@ let table3 ppf =
          heuristics
   in
   let rows group = List.map render_row (by_non_loop_share group) in
-  (* means over non-blank entries *)
+  (* means over non-blank entries: [stat] skips the NaN of a blank *)
   let all = by_non_loop_share ints @ by_non_loop_share floats in
   let mean_cells stat =
     List.concat_map
       (fun h ->
         let entries = List.map (fun r -> cell r h) all in
-        let covs =
-          List.filter_map
-            (fun (c, _, _) ->
-              if String.equal c "" then None else Some (float_of_string c))
-            entries
-        in
+        let cov = stat (List.map (fun (c, _, _) -> c) entries) in
         let misses = List.map (fun (_, m, _) -> m) entries in
         let prfs = List.map (fun (_, _, p) -> p) entries in
         [
-          (if covs = [] then "" else Printf.sprintf "%.0f" (stat (List.map (fun c -> c /. 100.) covs) *. 100.));
+          (if Float.is_nan cov then "" else Texttab.pct cov);
           Texttab.ratio (stat misses) (stat prfs);
         ])
       heuristics

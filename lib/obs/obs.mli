@@ -14,14 +14,14 @@
     complete events, microsecond timestamps, the domain id as [tid]),
     loadable in [chrome://tracing] or Perfetto.  Arm export with
     [--trace FILE] on the CLIs or [BALLARUS_TRACE=FILE] in the
-    environment; the file is written at process exit.
+    environment; the file is written at process exit.  The same
+    events give the per-name count, sum, p50, p95 and max that
+    [bpredict stats] prints ({!span_stats}); percentiles are
+    nearest-rank, so every value is a measured duration.
 
-    {b Metrics} — a process-wide registry of named counters and
-    log-scale histograms ({!Metrics}).  Metrics are always on
-    (atomic increments; they replace the ad-hoc robustness counters),
-    independent of the span flag — except that every recorded span
-    also feeds the histogram [span.<name>], which is how
-    [bpredict stats] reports per-stage duration percentiles.
+    {b Metrics} — a process-wide registry of named counters
+    ({!Metrics}).  Counters are always on (atomic increments),
+    independent of the span flag.
 
     Timestamps come from [Unix.gettimeofday] — monotonic-ish: good
     enough to order and measure spans, not hardened against clock
@@ -33,7 +33,7 @@ val enabled : unit -> bool
 (** Whether spans are being recorded. *)
 
 val enable : unit -> unit
-(** Start recording spans (and their [span.*] histograms). *)
+(** Start recording spans. *)
 
 val disable : unit -> unit
 (** Stop recording.  Already-recorded events are kept. *)
@@ -58,8 +58,25 @@ val events : unit -> event list
     order. *)
 
 val reset_events : unit -> unit
-(** Drop all recorded events (the [span.*] histograms are separate;
-    see {!Metrics.reset}). *)
+(** Drop all recorded events, and with them the {!span_stats}. *)
+
+(** {1 Span statistics} *)
+
+type stats = {
+  count : int;
+  sum : float;
+  p50 : float;  (** the ⌈0.5·count⌉-th smallest value *)
+  p95 : float;  (** the ⌈0.95·count⌉-th smallest value *)
+  max : float;
+}
+
+val summarize : float list -> stats
+(** Count, sum, nearest-rank p50 and p95, and max of the values; all
+    zero on the empty list. *)
+
+val span_stats : unit -> (string * stats) list
+(** {!summarize} of each span name's recorded [dur_us] values, in
+    microseconds, sorted by name. *)
 
 val trace_json : unit -> string
 (** The recorded events as a Chrome [trace_event] JSON document. *)
@@ -113,15 +130,6 @@ val trace_file : unit -> string option
 
 module Metrics : sig
   type counter
-  type histogram
-
-  type hstats = {
-    count : int;
-    sum : float;
-    p50 : float;  (** bucket upper-bound estimate of the median *)
-    p95 : float;  (** bucket upper-bound estimate of the 95th pct *)
-    max : float;  (** exact maximum observed *)
-  }
 
   val counter : string -> counter
   (** The counter registered under this name, created at zero on first
@@ -131,24 +139,13 @@ module Metrics : sig
   val value : counter -> int
   val set : counter -> int -> unit
 
-  val histogram : string -> histogram
-  (** Log-scale histogram: power-of-two buckets, so values spanning
-      nanoseconds to minutes fit in a fixed 66-slot array.  Quantiles
-      are bucket upper bounds — at most 2x off, plenty for p50/p95
-      trend lines. *)
-
-  val observe : histogram -> float -> unit
-  val stats : histogram -> hstats
-
   val counters : unit -> (string * int) list
   (** All registered counters, sorted by name. *)
 
-  val histograms : unit -> (string * hstats) list
-
   val reset : unit -> unit
-  (** Zero every registered counter and histogram. *)
-
-  val dump : Format.formatter -> unit
-  (** Human-readable dump of the whole registry (the [bpredict stats]
-      output). *)
+  (** Zero every registered counter. *)
 end
+
+val dump : Format.formatter -> unit
+(** Human-readable report of every counter and of {!span_stats} in
+    seconds (the [bpredict stats] output). *)

@@ -1,19 +1,8 @@
-type policy = {
-  max_attempts : int;
-  base_delay_s : float;
-  multiplier : float;
-  max_delay_s : float;
-  jitter : float;
-}
-
-let default_policy =
-  {
-    max_attempts = 3;
-    base_delay_s = 0.002;
-    multiplier = 4.0;
-    max_delay_s = 0.25;
-    jitter = 0.5;
-  }
+let max_attempts = 3
+let base_delay_s = 0.002
+let multiplier = 4.0
+let max_delay_s = 0.25
+let jitter = 0.5
 
 (* The delay before retry [attempt] (1-based): exponential growth
    capped at [max_delay_s], scaled by a jitter factor in
@@ -23,33 +12,31 @@ let default_policy =
    drawn from [Sim.Dataset.mix] over (label, attempt): concurrent retry
    loops jitter independently, and deterministically, since
    Hashtbl.hash of a string is stable. *)
-let delay policy ~label ~attempt =
+let delay ~label ~attempt =
   let a = max 1 attempt in
-  let raw = policy.base_delay_s *. (policy.multiplier ** float_of_int (a - 1)) in
-  let capped = Float.min policy.max_delay_s raw in
+  let raw = base_delay_s *. (multiplier ** float_of_int (a - 1)) in
+  let capped = Float.min max_delay_s raw in
   let z = Sim.Dataset.mix ((Hashtbl.hash label * 0x9E3779B9) + a) in
   let u = float_of_int (z land 0xFFFFFF) /. 16777216. in
-  let jittered = capped *. (1.0 +. (policy.jitter *. (u -. 0.5))) in
-  Float.min policy.max_delay_s jittered
+  let jittered = capped *. (1.0 +. (jitter *. (u -. 0.5))) in
+  Float.min max_delay_s jittered
 
-let delays policy ~label =
-  List.init (max 0 (policy.max_attempts - 1)) (fun i ->
-      delay policy ~label ~attempt:(i + 1))
+let delays ~label =
+  List.init (max_attempts - 1) (fun i -> delay ~label ~attempt:(i + 1))
 
-let delay_hist = Obs.Metrics.histogram "backoff.delay_s"
 let retries = Obs.Metrics.counter "robust.retries"
 
-let retry ?(policy = default_policy) ?(sleep = Unix.sleepf) ?on_retry
-    ?(retry_on = Fault.is_transient) ~label f =
+let retry ?(sleep = Unix.sleepf) ?on_retry ?(retry_on = Fault.is_transient)
+    ~label f =
   let rec go attempt =
     match f () with
     | v -> v
-    | exception e when attempt < policy.max_attempts && retry_on e ->
+    | exception e when attempt < max_attempts && retry_on e ->
       Obs.Metrics.incr retries;
-      let d = delay policy ~label ~attempt in
-      Obs.Metrics.observe delay_hist d;
+      let d = delay ~label ~attempt in
       (match on_retry with Some k -> k ~attempt ~delay_s:d e | None -> ());
-      sleep d;
+      Obs.span ~name:"backoff.sleep" ~attrs:[ ("label", label) ] (fun () ->
+          sleep d);
       go (attempt + 1)
   in
   go 1

@@ -42,7 +42,7 @@ val run :
     checkpoint writes no {!Cache.Memo} or {!Cache.Store} entry, since
     neither stores anything when [compute] raises.
 
-    Transient failures retry per {!Backoff.default_policy}, with
+    Transient failures retry per {!Backoff.retry}, with
     jitter drawn from [label].  [sleep] (default [Unix.sleepf]) exists
     for tests.  The [robust.*] registry counters are bumped for
     retries, timeouts, fuel exhaustion, and permanent failures. *)

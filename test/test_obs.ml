@@ -1,7 +1,7 @@
 (* Tests for the observability layer: span recording and nesting,
-   disabled-mode pass-through, the metrics registry (counters,
-   log-scale histogram buckets and quantiles), and the Chrome
-   trace_event JSON export. *)
+   disabled-mode pass-through, the span statistics computed from the
+   recorded events (nearest-rank percentiles), the counter registry,
+   and the Chrome trace_event JSON export. *)
 
 let checkb = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -62,16 +62,64 @@ let test_disabled_is_noop () =
   checki "nothing recorded" 0 (List.length (Obs.events ()));
   if was then Obs.enable ()
 
-let test_span_feeds_histogram () =
+let test_span_feeds_stats () =
   with_recording (fun () ->
-      Obs.Metrics.reset ();
       Obs.span ~name:"timed-stage" (fun () -> Unix.sleepf 0.002);
-      match List.assoc_opt "span.timed-stage" (Obs.Metrics.histograms ()) with
+      match List.assoc_opt "timed-stage" (Obs.span_stats ()) with
       | Some s ->
-        checki "one observation" 1 s.Obs.Metrics.count;
-        checkb "max in a plausible band" true
-          (s.Obs.Metrics.max >= 0.002 && s.Obs.Metrics.max < 1.0)
-      | None -> Alcotest.fail "span histogram not registered")
+        checki "one observation" 1 s.Obs.count;
+        checkb "max in a plausible band (us)" true
+          (s.Obs.max >= 2000. && s.Obs.max < 1e6)
+      | None -> Alcotest.fail "span statistics missing the span")
+
+(* Every figure the statistics report is one of the recorded
+   durations: with 25 spans, p50 is the 13th smallest and p95 the
+   24th (nearest rank), not a bucket bound. *)
+let test_percentiles_are_durations () =
+  with_recording (fun () ->
+      for i = 1 to 25 do
+        Obs.span ~name:"pct" (fun () -> Unix.sleepf (float_of_int i *. 1e-4))
+      done;
+      let durs =
+        List.filter_map
+          (fun (e : Obs.event) ->
+            if String.equal e.name "pct" then Some e.dur_us else None)
+          (Obs.events ())
+        |> List.sort Float.compare |> Array.of_list
+      in
+      checki "25 events" 25 (Array.length durs);
+      match List.assoc_opt "pct" (Obs.span_stats ()) with
+      | Some s ->
+        checki "count" 25 s.Obs.count;
+        checkb "max is the longest" true (s.max = durs.(24));
+        checkb "p50 is the 13th smallest" true (s.p50 = durs.(12));
+        checkb "p95 is the 24th smallest" true (s.p95 = durs.(23));
+        checkb "sum" true
+          (Float.abs (s.sum -. Array.fold_left ( +. ) 0. durs) < 1e-6)
+      | None -> Alcotest.fail "span statistics missing the span")
+
+(* The summary over plain values: exact order statistics. *)
+let test_summarize () =
+  let s =
+    Obs.summarize (List.init 100 (fun _ -> 1.0) @ List.init 5 (fun _ -> 100.0))
+  in
+  checki "count" 105 s.Obs.count;
+  checkb "sum" true (Float.abs (s.sum -. 600.) < 1e-9);
+  checkb "max exact" true (s.max = 100.0);
+  (* 100/105 > 0.95: both percentiles are the low value *)
+  checkb "p50 exact" true (s.p50 = 1.0);
+  checkb "p95 exact" true (s.p95 = 1.0);
+  (* skewed the other way: both climb to the high value *)
+  let s2 =
+    Obs.summarize (List.init 10 (fun _ -> 1.0) @ List.init 90 (fun _ -> 100.0))
+  in
+  checkb "p50 high" true (s2.p50 = 100.0);
+  checkb "p95 high" true (s2.p95 = 100.0);
+  checkb "p95 <= max" true (s2.p95 <= s2.max);
+  let s3 = Obs.summarize [ 1e12; 0.; 1e-15 ] in
+  checki "extremes counted" 3 s3.count;
+  checkb "extremes ranked" true (s3.p50 = 1e-15 && s3.max = 1e12);
+  checki "empty" 0 (Obs.summarize []).count
 
 (* ---- metrics ---- *)
 
@@ -88,60 +136,29 @@ let test_counter_registry () =
     (List.mem ("test.counter", 5) (Obs.Metrics.counters ()));
   Obs.Metrics.set c 0
 
-let test_histogram_buckets () =
-  let h = Obs.Metrics.histogram "test.hist" in
-  (* 100 observations of 1.0 and 5 of 100.0: p50 must land in 1.0's
-     power-of-two bucket [1, 2), p95 too (100/105 > 0.95), max exact *)
-  for _ = 1 to 100 do
-    Obs.Metrics.observe h 1.0
-  done;
-  for _ = 1 to 5 do
-    Obs.Metrics.observe h 100.0
-  done;
-  let s = Obs.Metrics.stats h in
-  checki "count" 105 s.Obs.Metrics.count;
-  checkb "sum" true (Float.abs (s.sum -. 600.) < 1e-9);
-  checkb "max exact" true (s.max = 100.0);
-  checkb "p50 in the 1.0 bucket" true (s.p50 >= 1.0 && s.p50 <= 2.0);
-  checkb "p95 in the 1.0 bucket" true (s.p95 >= 1.0 && s.p95 <= 2.0);
-  (* skewed the other way: p95 must climb into the 100.0 bucket *)
-  let h2 = Obs.Metrics.histogram "test.hist2" in
-  for _ = 1 to 10 do
-    Obs.Metrics.observe h2 1.0
-  done;
-  for _ = 1 to 90 do
-    Obs.Metrics.observe h2 100.0
-  done;
-  let s2 = Obs.Metrics.stats h2 in
-  checkb "p50 in the 100.0 bucket" true (s2.p50 >= 64.0 && s2.p50 <= 128.0);
-  checkb "p95 in the 100.0 bucket" true (s2.p95 >= 64.0 && s2.p95 <= 128.0);
-  (* quantiles never exceed the observed maximum *)
-  checkb "p95 <= max" true (s2.p95 <= s2.max);
-  (* tiny and zero values stay inside the table *)
-  let h3 = Obs.Metrics.histogram "test.hist3" in
-  Obs.Metrics.observe h3 0.;
-  Obs.Metrics.observe h3 1e-15;
-  Obs.Metrics.observe h3 1e12;
-  checki "extremes counted" 3 (Obs.Metrics.stats h3).Obs.Metrics.count
-
 let test_metrics_reset () =
   let c = Obs.Metrics.counter "test.reset.c" in
-  let h = Obs.Metrics.histogram "test.reset.h" in
   Obs.Metrics.incr c;
-  Obs.Metrics.observe h 1.0;
   Obs.Metrics.reset ();
   checki "counter zeroed" 0 (Obs.Metrics.value c);
-  checki "histogram zeroed" 0 (Obs.Metrics.stats h).Obs.Metrics.count
+  with_recording (fun () ->
+      Obs.span ~name:"test.reset.span" (fun () -> ());
+      Obs.reset_events ();
+      checkb "span statistics cleared" true (Obs.span_stats () = []))
 
 let test_dump_renders () =
   let c = Obs.Metrics.counter "test.dump.c" in
   Obs.Metrics.incr c;
   let buf = Buffer.create 256 in
   let ppf = Format.formatter_of_buffer buf in
-  Obs.Metrics.dump ppf;
+  with_recording (fun () ->
+      Obs.span ~name:"test.dump.span" (fun () -> ());
+      Obs.dump ppf);
   Format.pp_print_flush ppf ();
   checkb "dump mentions the counter" true
     (contains (Buffer.contents buf) "test.dump.c");
+  checkb "dump mentions the span" true
+    (contains (Buffer.contents buf) "test.dump.span");
   Obs.Metrics.set c 0
 
 (* ---- trace JSON export, read back with Obs.Json ---- *)
@@ -242,14 +259,16 @@ let () =
             test_span_exception_passthrough;
           Alcotest.test_case "disabled is a no-op" `Quick
             test_disabled_is_noop;
-          Alcotest.test_case "feeds span histogram" `Quick
-            test_span_feeds_histogram;
+          Alcotest.test_case "feeds span statistics" `Quick
+            test_span_feeds_stats;
+          Alcotest.test_case "percentiles are recorded durations" `Quick
+            test_percentiles_are_durations;
         ] );
       ( "metrics",
         [
           Alcotest.test_case "counter registry" `Quick test_counter_registry;
-          Alcotest.test_case "histogram buckets and quantiles" `Quick
-            test_histogram_buckets;
+          Alcotest.test_case "summary is exact nearest-rank" `Quick
+            test_summarize;
           Alcotest.test_case "reset" `Quick test_metrics_reset;
           Alcotest.test_case "dump renders" `Quick test_dump_renders;
         ] );

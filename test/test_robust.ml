@@ -37,15 +37,17 @@ let test_taxonomy () =
   checkb "hard not transient" false (is_transient Boom)
 
 let test_backoff_determinism () =
-  let p = Robust.Backoff.default_policy in
-  let d1 = Robust.Backoff.delays p ~label:"spy" in
-  let d2 = Robust.Backoff.delays p ~label:"spy" in
-  let d3 = Robust.Backoff.delays p ~label:"other" in
-  checki "schedule length" (p.max_attempts - 1) (List.length d1);
+  let max_attempts = Robust.Backoff.max_attempts in
+  let d1 = Robust.Backoff.delays ~label:"spy" in
+  let d2 = Robust.Backoff.delays ~label:"spy" in
+  let d3 = Robust.Backoff.delays ~label:"other" in
+  checki "schedule length" (max_attempts - 1) (List.length d1);
   checkb "same label, same schedule" true (d1 = d2);
   checkb "different label, different schedule" true (d1 <> d3);
   List.iter
-    (fun d -> checkb "delay within the hard cap" true (d > 0. && d <= p.max_delay_s))
+    (fun d ->
+      checkb "delay within the hard cap" true
+        (d > 0. && d <= Robust.Backoff.max_delay_s))
     d1;
   (* retry sleeps exactly the label's schedule, reproducibly *)
   let run_spy () =
@@ -64,27 +66,35 @@ let test_backoff_determinism () =
   in
   let a1, s1 = run_spy () in
   let a2, s2 = run_spy () in
-  checki "all attempts used" p.max_attempts a1;
-  checki "slept between attempts" (p.max_attempts - 1) (List.length s1);
+  checki "all attempts used" max_attempts a1;
+  checki "slept between attempts" (max_attempts - 1) (List.length s1);
   checkb "sleep schedule reproducible" true (a1 = a2 && s1 = s2);
-  checkb "sleeps follow the label's schedule" true (s1 = d1)
+  checkb "sleeps follow the label's schedule" true (s1 = d1);
+  (* each retry sleep is recorded as a [backoff.sleep] span *)
+  Obs.reset_events ();
+  Obs.enable ();
+  ignore (run_spy ());
+  Obs.disable ();
+  let sleeps =
+    List.filter
+      (fun (e : Obs.event) -> String.equal e.name "backoff.sleep")
+      (Obs.events ())
+  in
+  Obs.reset_events ();
+  checki "one backoff.sleep span per retry" (max_attempts - 1)
+    (List.length sleeps)
 
 (* Regression for the jitter-after-cap bug: the jitter factor used to
    be applied to the already-capped delay, so a +jitter draw could
    stretch the sleep up to 1.5x past [max_delay_s].  The cap is now
-   re-applied after jitter; no (policy, label, attempt) combination may
-   exceed it. *)
+   re-applied after jitter; no (label, attempt) combination may exceed
+   it. *)
 let prop_backoff_cap =
   QCheck.Test.make ~name:"delay never exceeds max_delay_s" ~count:1000
-    QCheck.(
-      make
-        Gen.(
-          quad (string_size (int_bound 12)) (int_range 1 12)
-            (float_range 0.0 2.0) (float_range 0.001 0.5)))
-    (fun (label, attempt, jitter, max_delay_s) ->
-      let p = { Robust.Backoff.default_policy with jitter; max_delay_s } in
-      let d = Robust.Backoff.delay p ~label ~attempt in
-      d >= 0. && d <= p.max_delay_s)
+    QCheck.(make Gen.(pair (string_size (int_bound 12)) (int_range 1 12)))
+    (fun (label, attempt) ->
+      let d = Robust.Backoff.delay ~label ~attempt in
+      d >= 0. && d <= Robust.Backoff.max_delay_s)
 
 let test_retry_only_transient () =
   (* default retry_on: hard failures are never retried *)
